@@ -22,15 +22,17 @@ invalidates stale entries automatically.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pathlib
 from typing import Dict, List, Optional
 
 import pytest
 
+from repro.analysis.figures import figure_scale, point_key
 from repro.core.blem import BlemConfig
 from repro.core.copr import CoprConfig
-from repro.orchestrator import ResultCache, code_fingerprint, stable_key
+from repro.orchestrator import ResultCache
 from repro.sim.runner import ExperimentScale, run_benchmark
 from repro.sim.simulator import SimulationResult
 from repro.workloads.profiles import all_benchmark_names
@@ -43,24 +45,15 @@ TIMING_SYSTEMS = ("baseline", "metadata_cache", "attache", "ideal")
 
 
 def bench_scale() -> ExperimentScale:
-    """The simulation scale used by the timing benches."""
-    preset = os.environ.get("REPRO_BENCH_SCALE", "fast")
+    """The simulation scale used by the timing benches: the
+    ``REPRO_BENCH_SCALE`` preset of ``repro figures`` (an unknown name
+    raises ``ValueError``), with its trace length replaced by
+    ``REPRO_BENCH_RECORDS`` when that is set."""
+    scale = figure_scale(os.environ.get("REPRO_BENCH_SCALE", "fast"))
     records = int(os.environ.get("REPRO_BENCH_RECORDS", "0"))
-    if preset == "tiny":
-        # Keep 8 cores: the bandwidth pressure that drives the paper's
-        # results needs the full core count even in smoke runs.
-        return ExperimentScale(
-            name="tiny", factor=64, cores=8,
-            records_per_core=records or 600,
-        )
-    if preset == "full":
-        return ExperimentScale(
-            name="full", factor=8, cores=8,
-            records_per_core=records or 8000,
-        )
-    return ExperimentScale(
-        name="fast", factor=32, cores=8, records_per_core=records or 2000,
-    )
+    if records:
+        scale = dataclasses.replace(scale, records_per_core=records)
+    return scale
 
 
 def functional_workload_kwargs() -> Dict[str, object]:
@@ -106,16 +99,10 @@ class ResultsCache:
         workload, system, copr_config, blem_config, seed = key[:5]
         disk_key = None
         if self._disk is not None:
-            disk_key = stable_key({
-                "kind": "bench",
-                "workload": workload,
-                "system": system,
-                "copr_config": copr_config,
-                "blem_config": blem_config,
-                "seed": seed,
-                "scale": bench_scale(),
-                "code": code_fingerprint(),
-            })
+            disk_key = point_key(
+                workload, system, bench_scale(), copr_config=copr_config,
+                blem_config=blem_config, seed=seed,
+            )
             cached = self._disk.get(disk_key)
             if cached is not None:
                 return cached

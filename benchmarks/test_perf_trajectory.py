@@ -1,27 +1,24 @@
-"""Performance trajectory: the fast path and the warm pool must stay fast.
+"""Performance trajectory: every pinned benchmark must stay fast and exact.
 
-Measures two pinned benchmarks (``repro.fastpath.bench``), publishes the
-fresh numbers to ``benchmarks/out/``, and gates each against its
-committed baseline:
+Runs each pin of ``repro.fastpath.bench.PINS`` in both of its modes,
+publishes the fresh report to ``benchmarks/out/BENCH_<pin>.json`` and
+gates it against the committed ``benchmarks/BENCH_<pin>.json``:
 
-* single run — the pinned workload with the fast path on and off
-  (``benchmarks/BENCH_single_run.json``);
-* sweep — the pinned sensitivity grid end-to-end through the
-  orchestrator with the warm pool and with spawn-per-job workers
-  (``benchmarks/BENCH_sweep.json``);
-* functional — the pinned metadata-traffic functional pass with the
-  vector kernels on and off (``benchmarks/BENCH_functional.json``);
-* timing — the pinned detailed-simulator run with a deep functional
-  warm-up, vector timing plane on and off
-  (``benchmarks/BENCH_timing.json``).
+* single_run — the pinned RAND/attache point, fast path on vs off;
+* sweep — the pinned 36-point sensitivity grid through the
+  orchestrator, warm pool vs spawn-per-job;
+* functional — the pinned metadata-traffic functional pass, vector
+  kernels on vs off;
+* timing — the pinned RAND/attache point with a deep functional
+  warm-up, vector timing plane on vs off.
 
-For both: the two modes must produce bit-identical results, and the
-speedup ratio must not regress more than 25% below the committed
-baseline ratio.  The gates compare *ratios*, not wall clocks: absolute
-times depend on the machine, but dividing one mode's time by the
-other's on the same machine cancels that out.  After a deliberate perf
-change, re-measure on a quiet machine (``REPRO_BENCH_PERF_REPEATS=7``)
-and commit the refreshed baseline.
+For every pin, all runs of both modes must produce one digest, the fast
+mode must beat the slow one outright, and the speedup must not fall
+more than 25% below the committed ratio.  The gates compare *ratios*,
+not wall clocks: absolute times depend on the machine, but dividing one
+mode's time by the other's on the same machine cancels that out.  After
+a deliberate perf change, re-measure on a quiet machine
+(``REPRO_BENCH_PERF_REPEATS=7``) and commit the refreshed baseline.
 """
 
 from __future__ import annotations
@@ -30,183 +27,50 @@ import json
 import os
 import pathlib
 
-from repro.fastpath.bench import (
-    run_pinned,
-    run_pinned_functional,
-    run_pinned_sweep,
-    run_pinned_timing,
-)
+import pytest
+
+from repro.fastpath.bench import PINS, run_pin
 
 from conftest import publish
 
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_single_run.json"
-SWEEP_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_sweep.json"
-FUNCTIONAL_BASELINE_PATH = (
-    pathlib.Path(__file__).parent / "BENCH_functional.json"
-)
-TIMING_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_timing.json"
 
-
-def test_perf_trajectory(report_dir):
+@pytest.mark.parametrize("name", list(PINS))
+def test_perf_trajectory(name, report_dir):
     repeats = int(os.environ.get("REPRO_BENCH_PERF_REPEATS", "3"))
-    report = run_pinned(repeats=repeats)
+    report = run_pin(name, repeats=repeats)
     payload = report.to_dict()
-    (report_dir / "BENCH_single_run.json").write_text(
+    (report_dir / f"BENCH_{name}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
-    baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-    rows = "\n".join(
-        f"  {label:<28}{value}"
-        for label, value in [
-            ("repeats (best-of)", report.repeats),
-            ("fast wall clock (s)", f"{report.fast.wall_s:.3f}"),
-            ("slow wall clock (s)", f"{report.slow.wall_s:.3f}"),
-            ("fast events/sec", f"{report.fast.events_per_s:.0f}"),
-            ("slow events/sec", f"{report.slow.events_per_s:.0f}"),
-            ("speedup (slow/fast)", f"{report.speedup:.2f}x"),
-            ("baseline speedup", f"{baseline['speedup']:.2f}x"),
-            ("bit-identical", report.identical),
-        ]
-    )
-    publish(report_dir, "BENCH_single_run",
-            "single-run fast path (pinned workload)\n" + rows)
+    baseline_path = pathlib.Path(__file__).parent / f"BENCH_{name}.json"
+    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+    fast, slow = report.pin.modes
+    rows = [("repeats (best-of)", report.repeats)]
+    for label, run in ((fast, report.fast), (slow, report.slow)):
+        rows += [(f"{label} wall clock (s)", f"{run.wall_s:.3f}"),
+                 (f"{label} events/sec", f"{run.events_per_s:.1f}")]
+    rows += [
+        (f"speedup ({slow}/{fast})", f"{report.speedup:.2f}x"),
+        ("baseline speedup", f"{baseline['speedup']:.2f}x"),
+        ("bit-identical", report.identical),
+        ("digest", report.fast.digest[:16]),
+    ]
+    publish(report_dir, f"BENCH_{name}", f"pinned {name}: {fast} vs {slow}\n"
+            + "\n".join(f"  {label:<30}{value}" for label, value in rows))
 
     assert report.identical, (
-        "fast path is not bit-identical to the reference path: "
-        f"fast digest {report.fast.digest[:16]}, "
-        f"slow digest {report.slow.digest[:16]}"
-    )
-    floor = 0.75 * baseline["speedup"]
-    assert report.speedup >= floor, (
-        f"single-run speedup regressed: measured {report.speedup:.2f}x, "
-        f"baseline {baseline['speedup']:.2f}x (gate: >= {floor:.2f}x). "
-        "If this follows a deliberate change, re-measure and refresh "
-        f"{BASELINE_PATH.name}."
-    )
-
-
-def test_sweep_perf_trajectory(report_dir):
-    repeats = int(os.environ.get("REPRO_BENCH_PERF_REPEATS", "2"))
-    report = run_pinned_sweep(repeats=repeats)
-    payload = report.to_dict()
-    (report_dir / "BENCH_sweep.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-    baseline = json.loads(SWEEP_BASELINE_PATH.read_text(encoding="utf-8"))
-    rows = "\n".join(
-        f"  {label:<28}{value}"
-        for label, value in [
-            ("repeats (best-of)", report.repeats),
-            ("grid points", report.warm.jobs),
-            ("warm wall clock (s)", f"{report.warm.wall_s:.3f}"),
-            ("spawn wall clock (s)", f"{report.spawn.wall_s:.3f}"),
-            ("warm jobs/sec", f"{report.warm.jobs_per_s:.1f}"),
-            ("spawn jobs/sec", f"{report.spawn.jobs_per_s:.1f}"),
-            ("speedup (spawn/warm)", f"{report.speedup:.2f}x"),
-            ("baseline speedup", f"{baseline['speedup']:.2f}x"),
-            ("bit-identical", report.identical),
-        ]
-    )
-    publish(report_dir, "BENCH_sweep",
-            "sweep throughput (pinned grid, warm vs spawn pool)\n" + rows)
-
-    assert report.identical, (
-        "warm pool is not bit-identical to spawn-per-job on the pinned "
-        "sweep grid"
+        f"{name}: {fast} is not bit-identical to {slow}: digests "
+        f"{report.fast.digest[:16]} vs {report.slow.digest[:16]}"
     )
     assert report.speedup > 1.0, (
-        f"warm pool is slower than spawn-per-job: {report.speedup:.2f}x"
+        f"{name}: {fast} is slower than {slow}: {report.speedup:.2f}x"
     )
     floor = 0.75 * baseline["speedup"]
     assert report.speedup >= floor, (
-        f"sweep speedup regressed: measured {report.speedup:.2f}x, "
+        f"{name} speedup regressed: measured {report.speedup:.2f}x, "
         f"baseline {baseline['speedup']:.2f}x (gate: >= {floor:.2f}x). "
         "If this follows a deliberate change, re-measure and refresh "
-        f"{SWEEP_BASELINE_PATH.name}."
-    )
-
-
-def test_functional_perf_trajectory(report_dir):
-    repeats = int(os.environ.get("REPRO_BENCH_PERF_REPEATS", "3"))
-    report = run_pinned_functional(repeats=repeats)
-    payload = report.to_dict()
-    (report_dir / "BENCH_functional.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-    baseline = json.loads(FUNCTIONAL_BASELINE_PATH.read_text(encoding="utf-8"))
-    rows = "\n".join(
-        f"  {label:<28}{value}"
-        for label, value in [
-            ("repeats (best-of)", report.repeats),
-            ("vector wall clock (s)", f"{report.fast.wall_s:.3f}"),
-            ("scalar wall clock (s)", f"{report.slow.wall_s:.3f}"),
-            ("vector events/sec", f"{report.fast.events_per_s:.0f}"),
-            ("scalar events/sec", f"{report.slow.events_per_s:.0f}"),
-            ("speedup (scalar/vector)", f"{report.speedup:.2f}x"),
-            ("baseline speedup", f"{baseline['speedup']:.2f}x"),
-            ("bit-identical", report.identical),
-        ]
-    )
-    publish(report_dir, "BENCH_functional",
-            "functional pass (pinned metadata-traffic study, "
-            "vector vs scalar)\n" + rows)
-
-    assert report.identical, (
-        "vector functional pass is not bit-identical to the scalar event "
-        f"loop: vector digest {report.fast.digest[:16]}, "
-        f"scalar digest {report.slow.digest[:16]}"
-    )
-    floor = 0.75 * baseline["speedup"]
-    assert report.speedup >= floor, (
-        f"functional speedup regressed: measured {report.speedup:.2f}x, "
-        f"baseline {baseline['speedup']:.2f}x (gate: >= {floor:.2f}x). "
-        "If this follows a deliberate change, re-measure and refresh "
-        f"{FUNCTIONAL_BASELINE_PATH.name}."
-    )
-
-
-def test_timing_perf_trajectory(report_dir):
-    repeats = int(os.environ.get("REPRO_BENCH_PERF_REPEATS", "3"))
-    report = run_pinned_timing(repeats=repeats)
-    payload = report.to_dict()
-    (report_dir / "BENCH_timing.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-    baseline = json.loads(TIMING_BASELINE_PATH.read_text(encoding="utf-8"))
-    rows = "\n".join(
-        f"  {label:<28}{value}"
-        for label, value in [
-            ("repeats (best-of)", report.repeats),
-            ("vector wall clock (s)", f"{report.fast.wall_s:.3f}"),
-            ("scalar wall clock (s)", f"{report.slow.wall_s:.3f}"),
-            ("vector events/sec", f"{report.fast.events_per_s:.0f}"),
-            ("scalar events/sec", f"{report.slow.events_per_s:.0f}"),
-            ("speedup (scalar/vector)", f"{report.speedup:.2f}x"),
-            ("baseline speedup", f"{baseline['speedup']:.2f}x"),
-            ("bit-identical", report.identical),
-        ]
-    )
-    publish(report_dir, "BENCH_timing",
-            "timing pass (pinned deep-warm-up run, vector vs scalar)\n"
-            + rows)
-
-    assert report.identical, (
-        "vector timing plane is not bit-identical to the scalar loops: "
-        f"vector digest {report.fast.digest[:16]}, "
-        f"scalar digest {report.slow.digest[:16]}"
-    )
-    floor = 0.75 * baseline["speedup"]
-    assert report.speedup >= floor, (
-        f"timing speedup regressed: measured {report.speedup:.2f}x, "
-        f"baseline {baseline['speedup']:.2f}x (gate: >= {floor:.2f}x). "
-        "If this follows a deliberate change, re-measure and refresh "
-        f"{TIMING_BASELINE_PATH.name}."
+        f"{baseline_path.name}."
     )

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.charts import bar_chart
 from repro.analysis.report import format_table, geometric_mean
 from repro.core.blem import BlemConfig
+from repro.core.copr import CoprConfig
 from repro.orchestrator import ResultCache, code_fingerprint, stable_key
 from repro.sim.runner import ExperimentScale, run_benchmark
 from repro.sim.simulator import SimulationResult
@@ -40,6 +41,7 @@ __all__ = [
     "FigureStatus",
     "figure_scale",
     "plan",
+    "point_key",
     "regenerate",
 ]
 
@@ -56,11 +58,14 @@ Sweep = Dict[str, Dict[str, SimulationResult]]
 def figure_scale(preset: str = "tiny") -> ExperimentScale:
     """The simulation scale behind each figure point.
 
-    Mirrors the ``REPRO_BENCH_SCALE`` presets of ``benchmarks/conftest``
-    exactly — same scales produce the same cache keys, which is what
-    lets a bench run and ``repro figures`` share cached points.
+    These are also the ``REPRO_BENCH_SCALE`` presets of the bench suite
+    (``benchmarks/conftest``): same scales produce the same cache keys,
+    which is what lets a bench run and ``repro figures`` share cached
+    points.
     """
     if preset == "tiny":
+        # Keep 8 cores: the bandwidth pressure that drives the paper's
+        # results needs the full core count even in smoke runs.
         return ExperimentScale(
             name="tiny", factor=64, cores=8, records_per_core=600,
         )
@@ -96,22 +101,28 @@ class FigureSpec:
         """The ``(workload, system, cache key)`` points this figure
         consumes, in deterministic order."""
         return [
-            (workload, system, _point_key(workload, system, scale))
+            (workload, system, point_key(workload, system, scale))
             for workload in all_benchmark_names()
             for system in self.systems
         ]
 
 
-def _point_key(workload: str, system: str, scale: ExperimentScale) -> str:
-    # The exact payload benchmarks/conftest.ResultsCache uses, so the
-    # on-disk entries are interchangeable between the two consumers.
+def point_key(workload: str, system: str, scale: ExperimentScale,
+              copr_config: Optional[CoprConfig] = None,
+              blem_config: BlemConfig = BlemConfig(),
+              seed: int = _SEED) -> str:
+    """The result-cache key of one simulated point.
+
+    ``repro figures`` and the bench suite's ``ResultsCache`` both key
+    their on-disk entries with it, so the two share cached points.
+    """
     return stable_key({
         "kind": "bench",
         "workload": workload,
         "system": system,
-        "copr_config": None,
-        "blem_config": BlemConfig(),
-        "seed": _SEED,
+        "copr_config": copr_config,
+        "blem_config": blem_config,
+        "seed": seed,
         "scale": scale,
         "code": code_fingerprint(),
     })

@@ -18,6 +18,7 @@ from typing import List, Optional
 from repro.analysis import format_table
 from repro.core.controllers import DEFAULT_METADATA_BASE
 from repro.core.metadata_cache import MetadataCache
+from repro.fastpath.bench import PINS, result_digest
 from repro.sim.functional import run_functional
 from repro.sim.runner import (
     SYSTEMS,
@@ -198,7 +199,6 @@ def _profile_functional(args: argparse.Namespace, profiler) -> int:
     import time
 
     from repro import kernels
-    from repro.fastpath.bench import result_digest
 
     override = (
         contextlib.nullcontext() if args.vector is None
@@ -253,7 +253,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
     from repro import fastpath
-    from repro.fastpath.bench import result_digest
 
     profiler = cProfile.Profile() if args.cprofile else None
     if args.functional:
@@ -964,12 +963,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="time one run and print fast-path cache telemetry",
     )
     _add_common(profile_parser)
-    # Defaults pin the reference workload (repro.fastpath.bench); any
-    # other point stays reachable through the common flags.
-    profile_parser.set_defaults(benchmark="RAND", cores=4, records=1500,
-                                warmup=0)
+    # Defaults are the single-run pin, so `repro profile` times exactly
+    # what the perf gate measures; any other point stays reachable
+    # through the common flags.
+    pin = PINS["single_run"].config
+    scale = pin["scale"]
+    profile_parser.set_defaults(
+        benchmark=pin["benchmark"], seed=pin["seed"], cores=scale["cores"],
+        records=scale["records_per_core"], warmup=scale["warmup_per_core"],
+        scale_factor=scale["factor"],
+    )
     profile_parser.add_argument("--system", choices=SYSTEMS,
-                                default="attache")
+                                default=pin["system"])
     profile_parser.add_argument(
         "--fastpath", choices=("on", "off"), default=None,
         help="'off' measures the reference (slow) path; omitted, the "

@@ -1,19 +1,21 @@
-"""The pinned reference workload and the best-of-N single-run benchmark.
+"""The pinned benchmarks: one table of workloads, one best-of-N runner.
 
-Performance claims need a fixed yardstick.  This module pins ONE
-workload — chosen because it exercises every fast-path cache (BLEM
-compression, scrambling, the FR-FCFS candidate cache) with a trace long
-enough that interpreter noise averages out but short enough to run in a
-CI smoke job — and measures it with the only timing methodology that is
-stable on a shared machine: best-of-N wall clock.
+Performance claims need fixed yardsticks.  Each :class:`Pin` in
+:data:`PINS` fixes one workload and two modes of the code that must
+produce bit-identical results: a fast mode and the slow mode it
+replaces (fast path on/off, warm pool/spawn-per-job, vector
+kernels/scalar loops).
 
-The minimum over repeats estimates the noise floor (scheduler
-interference and frequency scaling only ever *add* time), so ratios of
-minima are comparable across commits on the same machine.  Absolute
-times are NOT comparable across machines; the regression gate in CI
-therefore compares the fastpath-on/off *speedup ratio* against the
-committed baseline (``benchmarks/BENCH_single_run.json``), which divides
-the machine out.
+:func:`run_pin` measures a pin with the only timing methodology that is
+stable on a shared machine: the modes alternate, so slow machine-wide
+drift (thermal throttling, a background build) biases both alike, and
+each mode keeps its minimum wall clock over N repeats — interference
+only ever *adds* time, so the minimum estimates the noise floor.
+Absolute times are NOT comparable across machines; the CI gate
+therefore compares the slow/fast *speedup ratio* against the committed
+``benchmarks/BENCH_<pin>.json``, which divides the machine out.  Do not
+change a pin's config casually: its committed baseline was measured
+against exactly that config.
 """
 
 from __future__ import annotations
@@ -22,30 +24,10 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from repro import fastpath
+from repro import fastpath, kernels
 from repro.sim.runner import ExperimentScale, run_benchmark
-
-#: The pinned reference configuration.  Do not change casually: the
-#: committed baseline numbers in benchmarks/BENCH_single_run.json were
-#: measured against exactly this point.
-PINNED_BENCHMARK = "RAND"
-PINNED_SYSTEM = "attache"
-PINNED_SEED = 2018
-
-
-def pinned_scale() -> ExperimentScale:
-    """The pinned workload's scale.
-
-    ``warmup_per_core=0``: warm-up records exercise the same code as
-    timed ones, so they only dilute the measured per-record costs —
-    the benchmark wants every simulated event on the clock.
-    """
-    return ExperimentScale(
-        name="pin", factor=32, cores=4, records_per_core=1500,
-        warmup_per_core=0,
-    )
 
 
 def result_digest(result) -> str:
@@ -54,14 +36,173 @@ def result_digest(result) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def grid_digest(results) -> str:
+    """One digest over a grid's results, in grid order."""
+    joined = "".join(result_digest(result) for result in results)
+    return hashlib.sha256(joined.encode("ascii")).hexdigest()
+
+
+#: ``run(config, fast)`` -> ``(events, digest, perf)``.
+PinRun = Callable[[dict, bool], Tuple[int, str, Optional[dict]]]
+
+
+@dataclass(frozen=True)
+class Pin:
+    """One pinned workload, measured in a fast and a slow mode.
+
+    ``run(config, fast)`` runs the workload once in one mode and returns
+    the events it simulated (retired instructions, functional records or
+    grid points), the result digest both modes must agree on, and the
+    run's ``SimulationResult.perf`` (``None`` where there is no single
+    detailed result).
+    """
+
+    name: str
+    modes: Tuple[str, str]  #: (fast label, slow label)
+    run: PinRun
+    config: dict  #: the workload's fixed parameters, published as-is
+
+
+def _detailed(gate) -> PinRun:
+    """A detailed run of the config's point with *gate* forced per mode."""
+
+    def run(config: dict, fast: bool):
+        with gate(fast):
+            result = run_benchmark(
+                config["benchmark"], config["system"],
+                scale=ExperimentScale(name="pin", **config["scale"]),
+                seed=config["seed"],
+            )
+        return result.instructions, result_digest(result), result.perf
+
+    return run
+
+
+def _sweep(config: dict, fast: bool):
+    from repro.orchestrator import Orchestrator
+
+    pool = "warm" if fast else "spawn"
+    report = Orchestrator(jobs=1, pool=pool).run(_sweep_specs(config))
+    if not report.ok:
+        failures = [o.error for o in report.failures]
+        raise RuntimeError(f"pinned sweep failed under {pool}: {failures}")
+    return len(report.results), grid_digest(report.results), None
+
+
+def _sweep_specs(config: dict):
+    from repro.core.copr import CoprConfig
+    from repro.orchestrator.jobs import JobSpec
+
+    scale = ExperimentScale(name="pin", **config["scale"])
+    variants = [(system, {}) for system in config["systems"]] + [
+        ("attache", {"copr_config": CoprConfig(papr_entries=entries)})
+        for entries in config["papr_entries"]
+    ]
+    return [
+        JobSpec(benchmark=benchmark, system=system, scale=scale, seed=seed,
+                parameters=parameters)
+        for benchmark in config["benchmarks"]
+        for seed in config["seeds"]
+        for system, parameters in variants
+    ]
+
+
+def _functional(config: dict, fast: bool):
+    from repro.core.metadata_cache import MetadataCache
+    from repro.sim.functional import run_functional
+
+    with kernels.overridden(fast):
+        result = run_functional(
+            config["benchmark"],
+            cores=config["cores"],
+            records_per_core=config["records_per_core"],
+            seed=config["seed"],
+            footprint_scale=config["footprint_scale"],
+            llc_bytes=config["llc_bytes"],
+            llc_ways=config["llc_ways"],
+            metadata_cache=MetadataCache(
+                capacity_bytes=config["mdcache_bytes"],
+                ways=config["mdcache_ways"],
+                policy="lru",
+            ),
+        )
+    events = config["cores"] * config["records_per_core"]
+    return events, result_digest(result), None
+
+
+PINS: Dict[str, Pin] = {pin.name: pin for pin in (
+    Pin(
+        name="single_run",
+        modes=("fastpath", "reference"),
+        run=_detailed(fastpath.overridden),
+        # No warm-up: warm-up records exercise the same code as timed
+        # ones, so they only dilute the measured per-record costs.
+        config={
+            "benchmark": "RAND", "system": "attache", "seed": 2018,
+            "scale": {"factor": 32, "cores": 4, "records_per_core": 1500,
+                      "warmup_per_core": 0},
+        },
+    ),
+    Pin(
+        name="sweep",
+        modes=("warm", "spawn"),
+        run=_sweep,
+        # Shaped like a real paper study (a seed axis, three systems and
+        # an Attaché PaPR-size axis), so many small points share each
+        # workload: per-job fixed costs (process launch, workload
+        # regeneration, cold caches) dominate, which is what the warm
+        # pool's shared bank and memo caches target.
+        config={
+            "benchmarks": ["mcf", "omnetpp"],
+            "systems": ["baseline", "metadata_cache", "ideal"],
+            "seeds": [7, 8],
+            "papr_entries": [64, 128, 256, 512, 1024, 4096],
+            "scale": {"factor": 64, "cores": 2, "records_per_core": 60,
+                      "warmup_per_core": 20},
+        },
+    ),
+    Pin(
+        name="functional",
+        modes=("vector", "scalar"),
+        run=_functional,
+        # The Figs. 1/15/16 shape: a shared LLC feeding an lru metadata
+        # cache, no COPR.
+        config={
+            "benchmark": "mix1", "cores": 4, "records_per_core": 20000,
+            "seed": 2018, "footprint_scale": 1 / 32,
+            "llc_bytes": 256 * 1024, "llc_ways": 8,
+            "mdcache_bytes": 32 * 1024, "mdcache_ways": 16,
+        },
+    ),
+    Pin(
+        name="timing",
+        modes=("vector", "scalar"),
+        run=_detailed(kernels.overridden),
+        # The paper warms 40 B instructions before timing 4 B; this pin
+        # leans further (20:1), so most records land in the warm-up the
+        # vector plane batches.  Only REPRO_VECTOR differs between modes.
+        config={
+            "benchmark": "RAND", "system": "attache", "seed": 2018,
+            "scale": {"factor": 32, "cores": 4, "records_per_core": 600,
+                      "warmup_per_core": 12000},
+        },
+    ),
+)}
+
+
+def pinned_sweep_specs():
+    """The sweep pin's grid as orchestrator job specs."""
+    return _sweep_specs(PINS["sweep"].config)
+
+
 @dataclass
 class BenchRun:
-    """One timed simulation of the pinned workload."""
+    """One timed run of a pin in one mode."""
 
     wall_s: float
-    events: int  #: retired trace records (instructions)
+    events: int
     digest: str
-    perf: Optional[dict]  #: SimulationResult.perf of this run
+    perf: Optional[dict]  #: SimulationResult.perf of this run, if any
 
     @property
     def events_per_s(self) -> float:
@@ -77,29 +218,13 @@ class BenchRun:
         }
 
 
-def run_once(fastpath_on: bool = True) -> BenchRun:
-    """Run the pinned workload once in the requested mode."""
-    with fastpath.overridden(fastpath_on):
-        start = time.perf_counter()
-        result = run_benchmark(
-            PINNED_BENCHMARK, PINNED_SYSTEM, scale=pinned_scale(),
-            seed=PINNED_SEED,
-        )
-        wall = time.perf_counter() - start
-    return BenchRun(
-        wall_s=wall,
-        events=result.instructions,
-        digest=result_digest(result),
-        perf=result.perf,
-    )
-
-
 @dataclass
 class BenchReport:
-    """Best-of-N measurement of the pinned workload, both modes."""
+    """Best-of-N measurement of one pin, both modes."""
 
-    fast: BenchRun  #: best (minimum wall clock) fastpath-on run
-    slow: BenchRun  #: best fastpath-off run
+    pin: Pin
+    fast: BenchRun  #: best (minimum wall clock) fast-mode run
+    slow: BenchRun  #: best slow-mode run
     repeats: int
     identical: bool  #: every run of both modes produced one digest
 
@@ -109,444 +234,49 @@ class BenchReport:
         return self.slow.wall_s / self.fast.wall_s if self.fast.wall_s else 0.0
 
     def to_dict(self) -> dict:
+        fast_label, slow_label = self.pin.modes
         return {
-            "benchmark": PINNED_BENCHMARK,
-            "system": PINNED_SYSTEM,
-            "seed": PINNED_SEED,
-            "scale": {
-                "factor": pinned_scale().factor,
-                "cores": pinned_scale().cores,
-                "records_per_core": pinned_scale().records_per_core,
-                "warmup_per_core": pinned_scale().warmup_per_core,
-            },
+            "pin": self.pin.name,
+            "config": self.pin.config,
             "repeats": self.repeats,
             "identical": self.identical,
             "speedup": round(self.speedup, 3),
-            "fast": self.fast.to_dict(),
-            "slow": self.slow.to_dict(),
+            "modes": {
+                fast_label: self.fast.to_dict(),
+                slow_label: self.slow.to_dict(),
+            },
         }
 
 
-def run_pinned(repeats: int = 3) -> BenchReport:
-    """Best-of-*repeats* benchmark of the pinned workload, both modes.
-
-    Interleaves fast and slow runs so slow machine-wide drift (thermal
-    throttling, a background build) biases both modes alike instead of
-    whichever mode happened to run last.
-    """
+def run_pin(name: str, repeats: int = 3) -> BenchReport:
+    """Best-of-*repeats* measurement of pin *name*, modes interleaved."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    fast_runs, slow_runs = [], []
+    pin = PINS[name]
+    runs: Dict[bool, list] = {True: [], False: []}
     for _ in range(repeats):
-        fast_runs.append(run_once(fastpath_on=True))
-        slow_runs.append(run_once(fastpath_on=False))
-    digests = {run.digest for run in fast_runs + slow_runs}
+        for fast in (True, False):
+            start = time.perf_counter()
+            events, digest, perf = pin.run(pin.config, fast)
+            wall = time.perf_counter() - start
+            runs[fast].append(BenchRun(wall, events, digest, perf))
+    digests = {run.digest for mode in runs.values() for run in mode}
     return BenchReport(
-        fast=min(fast_runs, key=lambda run: run.wall_s),
-        slow=min(slow_runs, key=lambda run: run.wall_s),
-        repeats=repeats,
-        identical=len(digests) == 1,
-    )
-
-
-# ----------------------------------------------------------------------
-# The pinned sweep: end-to-end orchestrator throughput, warm vs spawn
-# ----------------------------------------------------------------------
-
-#: The pinned sweep grid.  Shaped like a real paper study — a handful of
-#: benchmarks, a seed axis, the four systems plus an Attaché PaPR-size
-#: sensitivity axis — so many grid points share each workload, which is
-#: exactly the situation the warm pool's shared bank and memo caches
-#: target.  Do not change casually: benchmarks/BENCH_sweep.json was
-#: measured against exactly this grid.
-PINNED_SWEEP_BENCHMARKS = ("mcf", "omnetpp")
-PINNED_SWEEP_SEEDS = (7, 8)
-PINNED_SWEEP_SYSTEMS = ("baseline", "metadata_cache", "ideal")
-PINNED_SWEEP_PAPR_ENTRIES = (64, 128, 256, 512, 1024, 4096)
-
-
-def pinned_sweep_scale() -> ExperimentScale:
-    """The pinned sweep's per-point scale.
-
-    Small points on purpose: sweep throughput is dominated by per-job
-    fixed costs (process launch, workload regeneration, cold caches)
-    exactly when points are cheap, which is the regime research sweeps
-    with many grid points live in.
-    """
-    return ExperimentScale(
-        name="pin-sweep", factor=64, cores=2, records_per_core=60,
-        warmup_per_core=20,
-    )
-
-
-def pinned_sweep_specs():
-    """The pinned sweep grid as orchestrator job specs."""
-    from repro.core.copr import CoprConfig
-    from repro.orchestrator.jobs import JobSpec
-
-    scale = pinned_sweep_scale()
-    specs = []
-    for benchmark in PINNED_SWEEP_BENCHMARKS:
-        for seed in PINNED_SWEEP_SEEDS:
-            specs.extend(
-                JobSpec(benchmark=benchmark, system=system, scale=scale,
-                        seed=seed)
-                for system in PINNED_SWEEP_SYSTEMS
-            )
-            specs.extend(
-                JobSpec(
-                    benchmark=benchmark, system="attache", scale=scale,
-                    seed=seed,
-                    parameters={
-                        "copr_config": CoprConfig(papr_entries=entries)
-                    },
-                )
-                for entries in PINNED_SWEEP_PAPR_ENTRIES
-            )
-    return specs
-
-
-@dataclass
-class SweepBenchRun:
-    """One timed end-to-end run of the pinned sweep in one pool mode."""
-
-    wall_s: float
-    jobs: int
-    digests: tuple  #: per-point result digests, grid order
-
-    @property
-    def jobs_per_s(self) -> float:
-        return self.jobs / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "wall_s": round(self.wall_s, 6),
-            "jobs": self.jobs,
-            "jobs_per_s": round(self.jobs_per_s, 3),
-            "grid_digest": hashlib.sha256(
-                "".join(self.digests).encode("ascii")
-            ).hexdigest(),
-        }
-
-
-def run_sweep_once(pool: str, jobs: int = 1) -> SweepBenchRun:
-    """Run the pinned sweep once through the orchestrator."""
-    from repro.orchestrator import Orchestrator
-
-    specs = pinned_sweep_specs()
-    start = time.perf_counter()
-    report = Orchestrator(jobs=jobs, pool=pool).run(specs)
-    wall = time.perf_counter() - start
-    if not report.ok:
-        failures = [o.error for o in report.failures]
-        raise RuntimeError(f"pinned sweep failed under {pool}: {failures}")
-    return SweepBenchRun(
-        wall_s=wall,
-        jobs=len(specs),
-        digests=tuple(result_digest(r) for r in report.results),
-    )
-
-
-@dataclass
-class SweepBenchReport:
-    """Best-of-N measurement of the pinned sweep, both pool modes."""
-
-    warm: SweepBenchRun  #: best (minimum wall clock) warm-pool run
-    spawn: SweepBenchRun  #: best spawn-per-job run
-    repeats: int
-    identical: bool  #: every run of both modes produced one digest tuple
-
-    @property
-    def speedup(self) -> float:
-        """spawn/warm wall-clock ratio of the best runs (machine-free)."""
-        return (
-            self.spawn.wall_s / self.warm.wall_s if self.warm.wall_s else 0.0
-        )
-
-    def to_dict(self) -> dict:
-        scale = pinned_sweep_scale()
-        return {
-            "benchmarks": list(PINNED_SWEEP_BENCHMARKS),
-            "systems": list(PINNED_SWEEP_SYSTEMS),
-            "seeds": list(PINNED_SWEEP_SEEDS),
-            "papr_entries": list(PINNED_SWEEP_PAPR_ENTRIES),
-            "scale": {
-                "factor": scale.factor,
-                "cores": scale.cores,
-                "records_per_core": scale.records_per_core,
-                "warmup_per_core": scale.warmup_per_core,
-            },
-            "repeats": self.repeats,
-            "identical": self.identical,
-            "speedup": round(self.speedup, 3),
-            "warm": self.warm.to_dict(),
-            "spawn": self.spawn.to_dict(),
-        }
-
-
-def run_pinned_sweep(repeats: int = 2) -> SweepBenchReport:
-    """Best-of-*repeats* pinned sweep benchmark, warm vs spawn.
-
-    Interleaved like :func:`run_pinned`, and both modes run the same
-    grid through the same orchestrator — the only variable is the pool
-    strategy, so the ratio isolates exactly what the warm pool buys.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    warm_runs, spawn_runs = [], []
-    for _ in range(repeats):
-        spawn_runs.append(run_sweep_once(pool="spawn"))
-        warm_runs.append(run_sweep_once(pool="warm"))
-    digest_tuples = {run.digests for run in warm_runs + spawn_runs}
-    return SweepBenchReport(
-        warm=min(warm_runs, key=lambda run: run.wall_s),
-        spawn=min(spawn_runs, key=lambda run: run.wall_s),
-        repeats=repeats,
-        identical=len(digest_tuples) == 1,
-    )
-
-
-# ----------------------------------------------------------------------
-# The pinned functional pass: vector kernels vs the scalar event loop
-# ----------------------------------------------------------------------
-
-#: The pinned functional configuration — the Figs. 1/15/16
-#: metadata-traffic shape (shared LLC feeding an lru metadata cache, no
-#: COPR), sized so both passes finish in CI smoke time.  Do not change
-#: casually: benchmarks/BENCH_functional.json was measured against
-#: exactly this point.
-PINNED_FUNCTIONAL_BENCHMARK = "mix1"
-PINNED_FUNCTIONAL_CORES = 4
-PINNED_FUNCTIONAL_RECORDS = 20000
-PINNED_FUNCTIONAL_SEED = 2018
-PINNED_FUNCTIONAL_SCALE = 1 / 32
-PINNED_FUNCTIONAL_LLC_BYTES = 256 * 1024
-PINNED_FUNCTIONAL_LLC_WAYS = 8
-PINNED_FUNCTIONAL_MDCACHE_BYTES = 32 * 1024
-PINNED_FUNCTIONAL_MDCACHE_WAYS = 16
-
-
-def run_functional_once(vector_on: bool) -> BenchRun:
-    """Run the pinned functional pass once in the requested mode."""
-    from repro import kernels
-    from repro.core.metadata_cache import MetadataCache
-    from repro.sim.functional import run_functional
-
-    with kernels.overridden(vector_on):
-        metadata_cache = MetadataCache(
-            capacity_bytes=PINNED_FUNCTIONAL_MDCACHE_BYTES,
-            ways=PINNED_FUNCTIONAL_MDCACHE_WAYS,
-            policy="lru",
-        )
-        start = time.perf_counter()
-        result = run_functional(
-            PINNED_FUNCTIONAL_BENCHMARK,
-            cores=PINNED_FUNCTIONAL_CORES,
-            records_per_core=PINNED_FUNCTIONAL_RECORDS,
-            seed=PINNED_FUNCTIONAL_SEED,
-            footprint_scale=PINNED_FUNCTIONAL_SCALE,
-            llc_bytes=PINNED_FUNCTIONAL_LLC_BYTES,
-            llc_ways=PINNED_FUNCTIONAL_LLC_WAYS,
-            metadata_cache=metadata_cache,
-        )
-        wall = time.perf_counter() - start
-    return BenchRun(
-        wall_s=wall,
-        events=PINNED_FUNCTIONAL_CORES * PINNED_FUNCTIONAL_RECORDS,
-        digest=result_digest(result),
-        perf=None,
-    )
-
-
-@dataclass
-class FunctionalBenchReport:
-    """Best-of-N measurement of the pinned functional pass, both modes."""
-
-    fast: BenchRun  #: best (minimum wall clock) vector run
-    slow: BenchRun  #: best scalar run
-    repeats: int
-    identical: bool  #: every run of both modes produced one digest
-
-    @property
-    def speedup(self) -> float:
-        """slow/fast wall-clock ratio of the best runs (machine-free)."""
-        return self.slow.wall_s / self.fast.wall_s if self.fast.wall_s else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": PINNED_FUNCTIONAL_BENCHMARK,
-            "cores": PINNED_FUNCTIONAL_CORES,
-            "records_per_core": PINNED_FUNCTIONAL_RECORDS,
-            "seed": PINNED_FUNCTIONAL_SEED,
-            "footprint_scale": PINNED_FUNCTIONAL_SCALE,
-            "llc_bytes": PINNED_FUNCTIONAL_LLC_BYTES,
-            "llc_ways": PINNED_FUNCTIONAL_LLC_WAYS,
-            "mdcache_bytes": PINNED_FUNCTIONAL_MDCACHE_BYTES,
-            "mdcache_ways": PINNED_FUNCTIONAL_MDCACHE_WAYS,
-            "repeats": self.repeats,
-            "identical": self.identical,
-            "speedup": round(self.speedup, 3),
-            "fast": self.fast.to_dict(),
-            "slow": self.slow.to_dict(),
-        }
-
-
-def run_pinned_functional(repeats: int = 3) -> FunctionalBenchReport:
-    """Best-of-*repeats* pinned functional benchmark, vector vs scalar.
-
-    Interleaved like :func:`run_pinned`; the only variable between the
-    modes is ``repro.kernels`` dispatch, so the ratio isolates exactly
-    what the batched data plane buys.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    fast_runs, slow_runs = [], []
-    for _ in range(repeats):
-        fast_runs.append(run_functional_once(vector_on=True))
-        slow_runs.append(run_functional_once(vector_on=False))
-    digests = {run.digest for run in fast_runs + slow_runs}
-    return FunctionalBenchReport(
-        fast=min(fast_runs, key=lambda run: run.wall_s),
-        slow=min(slow_runs, key=lambda run: run.wall_s),
-        repeats=repeats,
-        identical=len(digests) == 1,
-    )
-
-
-# ----------------------------------------------------------------------
-# The pinned timing pass: vector warm-up/prewarm vs the scalar loops
-# ----------------------------------------------------------------------
-
-#: The pinned timing configuration — the detailed simulator on the same
-#: RAND/attache point as ``run_pinned``, but with a deep functional
-#: warm-up (the paper warms 40 B instructions before timing 4 B; this
-#: pin leans further, 20:1, so the measured phase is the one the vector
-#: plane batches).  Do not change casually:
-#: benchmarks/BENCH_timing.json was measured against exactly this point.
-PINNED_TIMING_BENCHMARK = PINNED_BENCHMARK
-PINNED_TIMING_SYSTEM = PINNED_SYSTEM
-PINNED_TIMING_SEED = PINNED_SEED
-
-
-def pinned_timing_scale() -> ExperimentScale:
-    """The pinned timing workload's scale.
-
-    Unlike :func:`pinned_scale` (``warmup_per_core=0``), this pin puts
-    most of its simulated records in the functional warm-up, the phase
-    the vector plane replaces with array kernels (batched LLC probes,
-    analytic stored state, COPR batch training, memo prewarm).
-    """
-    return ExperimentScale(
-        name="pin-timing", factor=32, cores=4, records_per_core=600,
-        warmup_per_core=12000,
-    )
-
-
-def run_timing_once(vector_on: bool) -> BenchRun:
-    """Run the pinned timing workload once in the requested mode."""
-    from repro import kernels
-
-    with kernels.overridden(vector_on):
-        start = time.perf_counter()
-        result = run_benchmark(
-            PINNED_TIMING_BENCHMARK, PINNED_TIMING_SYSTEM,
-            scale=pinned_timing_scale(), seed=PINNED_TIMING_SEED,
-        )
-        wall = time.perf_counter() - start
-    return BenchRun(
-        wall_s=wall,
-        events=result.instructions,
-        digest=result_digest(result),
-        perf=result.perf,
-    )
-
-
-@dataclass
-class TimingBenchReport:
-    """Best-of-N measurement of the pinned timing pass, both modes."""
-
-    fast: BenchRun  #: best (minimum wall clock) vector run
-    slow: BenchRun  #: best scalar run
-    repeats: int
-    identical: bool  #: every run of both modes produced one digest
-
-    @property
-    def speedup(self) -> float:
-        """slow/fast wall-clock ratio of the best runs (machine-free)."""
-        return self.slow.wall_s / self.fast.wall_s if self.fast.wall_s else 0.0
-
-    def to_dict(self) -> dict:
-        scale = pinned_timing_scale()
-        return {
-            "benchmark": PINNED_TIMING_BENCHMARK,
-            "system": PINNED_TIMING_SYSTEM,
-            "seed": PINNED_TIMING_SEED,
-            "scale": {
-                "factor": scale.factor,
-                "cores": scale.cores,
-                "records_per_core": scale.records_per_core,
-                "warmup_per_core": scale.warmup_per_core,
-            },
-            "repeats": self.repeats,
-            "identical": self.identical,
-            "speedup": round(self.speedup, 3),
-            "fast": self.fast.to_dict(),
-            "slow": self.slow.to_dict(),
-        }
-
-
-def run_pinned_timing(repeats: int = 3) -> TimingBenchReport:
-    """Best-of-*repeats* pinned timing benchmark, vector vs scalar.
-
-    Interleaved like :func:`run_pinned`; the fast path stays ON in both
-    modes, so the ratio isolates exactly what the vector timing plane
-    buys on top of it.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    fast_runs, slow_runs = [], []
-    for _ in range(repeats):
-        fast_runs.append(run_timing_once(vector_on=True))
-        slow_runs.append(run_timing_once(vector_on=False))
-    digests = {run.digest for run in fast_runs + slow_runs}
-    return TimingBenchReport(
-        fast=min(fast_runs, key=lambda run: run.wall_s),
-        slow=min(slow_runs, key=lambda run: run.wall_s),
+        pin=pin,
+        fast=min(runs[True], key=lambda run: run.wall_s),
+        slow=min(runs[False], key=lambda run: run.wall_s),
         repeats=repeats,
         identical=len(digests) == 1,
     )
 
 
 __all__ = [
-    "PINNED_BENCHMARK",
-    "PINNED_FUNCTIONAL_BENCHMARK",
-    "PINNED_FUNCTIONAL_SEED",
-    "PINNED_SEED",
-    "PINNED_SYSTEM",
-    "PINNED_SWEEP_BENCHMARKS",
-    "PINNED_SWEEP_PAPR_ENTRIES",
-    "PINNED_SWEEP_SEEDS",
-    "PINNED_SWEEP_SYSTEMS",
-    "PINNED_TIMING_BENCHMARK",
-    "PINNED_TIMING_SEED",
-    "PINNED_TIMING_SYSTEM",
+    "PINS",
     "BenchReport",
     "BenchRun",
-    "FunctionalBenchReport",
-    "SweepBenchReport",
-    "SweepBenchRun",
-    "TimingBenchReport",
-    "pinned_scale",
-    "pinned_sweep_scale",
+    "Pin",
+    "grid_digest",
     "pinned_sweep_specs",
-    "pinned_timing_scale",
     "result_digest",
-    "run_functional_once",
-    "run_once",
-    "run_pinned",
-    "run_pinned_functional",
-    "run_pinned_sweep",
-    "run_pinned_timing",
-    "run_sweep_once",
-    "run_timing_once",
+    "run_pin",
 ]

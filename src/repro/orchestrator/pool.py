@@ -400,7 +400,7 @@ class Orchestrator:
                 pending.append(_Pending(index=index, attempt=1, ready_at=0.0,
                                         queued_at=time.monotonic()))
 
-        pending = self._lpt_order(pending, specs, None, merged_estimates)
+        pending = self._lpt_order(pending, specs, merged_estimates)
         fleet_rt.pending = pending
         backend, cleanup = self._make_backend(manifest, plan)
         self._plan = plan
@@ -595,30 +595,24 @@ class Orchestrator:
 
         return provider
 
-    def _lpt_order(self, pending, specs, manifest,
-                   estimates: Optional[Mapping[str, float]]):
+    def _lpt_order(self, pending, specs, estimates: Mapping[str, float]):
         """Longest-estimated-first launch order over the pending queue.
 
         With parallel workers, launching the long poles first bounds the
         makespan (classic LPT scheduling); launching them last can leave
-        every worker but one idle behind a straggler.  Estimates come
-        from the run manifest's prior-run wall-clock telemetry, overridden
-        by any caller-provided map.  The sort is stable: unestimated
-        jobs keep input order at the front, estimated ones follow
-        longest-first.
+        every worker but one idle behind a straggler.  *estimates* maps
+        ``JobSpec.describe()`` labels to wall seconds (:meth:`run` merges
+        the manifest's prior-run telemetry with the caller's map).  The
+        sort is stable: unestimated jobs keep input order at the front,
+        estimated ones follow longest-first.
         """
-        merged: Dict[str, float] = (
-            manifest.wall_estimates() if manifest is not None else {}
-        )
-        if estimates:
-            merged.update(estimates)
-        if len(pending) < 2 or not merged:
+        if len(pending) < 2 or not estimates:
             return pending
         unknown = float("inf")
         return deque(sorted(
             pending,
             key=lambda item: (
-                -merged.get(specs[item.index].describe(), unknown),
+                -estimates.get(specs[item.index].describe(), unknown),
                 item.index,
             ),
         ))

@@ -82,7 +82,8 @@ def _spawn_worker_entry(conn, runner, job_payload, timing: bool = False) -> None
         conn.close()
 
 
-def _warm_worker_main(conn, runner, bank_root, timing: bool = False) -> None:
+def _warm_worker_main(conn, parent_end, runner, bank_root,
+                      timing: bool = False) -> None:
     """Warm mode: serve jobs from the request pipe until told to exit.
 
     A job exception is reported like spawn mode's and the worker keeps
@@ -92,7 +93,12 @@ def _warm_worker_main(conn, runner, bank_root, timing: bool = False) -> None:
     reporting, and the parent replaces it.  The one-off workload-bank
     attach is timed when *timing* is on and reported with the worker's
     first job (the only job that ever waited on it).
+
+    *parent_end* is the parent's end of the same pipe, inherited across
+    fork: while this process holds it, ``conn.recv()`` never sees EOF,
+    so the worker would outlive a parent that dies without saying exit.
     """
+    parent_end.close()
     attach_span = None
     if bank_root is not None:
         from repro.workloads import bank
@@ -248,7 +254,8 @@ class WarmPoolBackend:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_warm_worker_main,
-            args=(child_conn, self._runner, self._bank_root, self.timing),
+            args=(child_conn, parent_conn, self._runner, self._bank_root,
+                  self.timing),
             daemon=True,
         )
         try:

@@ -7,7 +7,6 @@ sweep run through the local warm pool — including when an agent is
 killed mid-run and its jobs are transparently re-dispatched.
 """
 
-import hashlib
 import json
 import queue
 import socket
@@ -36,6 +35,7 @@ from repro.cluster.transport import (
     TransportError,
 )
 from repro.energy import EnergyReport
+from repro.fastpath.bench import grid_digest, pinned_sweep_specs
 from repro.orchestrator import JobSpec, Orchestrator
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.jobs import code_fingerprint
@@ -596,32 +596,24 @@ class TestHostGrammar:
 # End to end: loopback agents vs the local warm pool
 # ----------------------------------------------------------------------
 
-def _grid_digest(digests):
-    return hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
-
-
 @pytest.fixture(scope="module")
 def local_digest():
     """The pinned 36-point grid's digest under the local warm pool."""
-    from repro.fastpath.bench import run_sweep_once
+    report = Orchestrator(jobs=2, pool="warm").run(pinned_sweep_specs())
+    return grid_digest(report.results)
 
-    return _grid_digest(run_sweep_once(pool="warm", jobs=2).digests)
 
-
-def _run_pinned_grid(backend):
-    from repro.fastpath.bench import pinned_sweep_specs, result_digest
-
+def _run_sweep_pin(backend):
     report = Orchestrator(
         jobs=max(1, backend.total_slots()), pool=backend, retries=0
     ).run(pinned_sweep_specs())
-    digests = [result_digest(r) for r in report.results]
-    return report, _grid_digest(digests)
+    return report, grid_digest(report.results)
 
 
 class TestLoopbackCluster:
     def test_two_agents_match_the_local_digest(self, local_digest):
         backend = connect_cluster(["local", "local"], agent_jobs=2)
-        report, digest = _run_pinned_grid(backend)
+        report, digest = _run_sweep_pin(backend)
         assert report.ok
         assert digest == local_digest
         assert backend.redispatched == 0
@@ -635,7 +627,7 @@ class TestLoopbackCluster:
         timer = threading.Timer(0.4, victim.process.kill)
         timer.start()
         try:
-            report, digest = _run_pinned_grid(backend)
+            report, digest = _run_sweep_pin(backend)
         finally:
             timer.cancel()
         assert report.ok  # the orchestrator never saw the death
@@ -666,8 +658,6 @@ class TestLoopbackCluster:
     def test_fleet_loss_degrades_to_local_same_digest(
         self, local_digest, tmp_path
     ):
-        from repro.fastpath.bench import pinned_sweep_specs, result_digest
-
         backend = connect_cluster(
             ["local", "local"], agent_jobs=2, revive=False
         )
@@ -685,8 +675,7 @@ class TestLoopbackCluster:
             timer.cancel()
             backend.shutdown()
         assert report.ok  # the sweep finished on the local fallback
-        digest = _grid_digest([result_digest(r) for r in report.results])
-        assert digest == local_digest
+        assert grid_digest(report.results) == local_digest
         assert report.summary.get("degraded_to_local") is True
         events = [
             json.loads(line)

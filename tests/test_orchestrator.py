@@ -279,22 +279,18 @@ class TestLptOrdering:
         specs = [_spec(seed=s) for s in (1, 2, 3)]
         estimates = {specs[0].describe(): 1.0, specs[1].describe(): 5.0,
                      specs[2].describe(): 3.0}
-        ordered = Orchestrator()._lpt_order(
-            self._pending(3), specs, None, estimates
-        )
+        ordered = Orchestrator()._lpt_order(self._pending(3), specs, estimates)
         assert [item.index for item in ordered] == [1, 2, 0]
 
     def test_unestimated_jobs_launch_first_in_input_order(self):
         specs = [_spec(seed=s) for s in (1, 2, 3, 4)]
         estimates = {specs[0].describe(): 2.0, specs[3].describe(): 9.0}
-        ordered = Orchestrator()._lpt_order(
-            self._pending(4), specs, None, estimates
-        )
+        ordered = Orchestrator()._lpt_order(self._pending(4), specs, estimates)
         assert [item.index for item in ordered] == [1, 2, 3, 0]
 
     def test_no_estimates_keeps_input_order(self):
         specs = [_spec(seed=s) for s in (1, 2)]
-        ordered = Orchestrator()._lpt_order(self._pending(2), specs, None, {})
+        ordered = Orchestrator()._lpt_order(self._pending(2), specs, {})
         assert [item.index for item in ordered] == [0, 1]
 
     def test_manifest_telemetry_seeds_estimates(self, tmp_path):

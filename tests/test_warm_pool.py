@@ -7,9 +7,14 @@ per-job timeouts, retries, crash dumps, aborted-summary flushes — must
 survive the move to persistent workers.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -71,6 +76,16 @@ def sleepy_on_ideal(spec: JobSpec) -> SimulationResult:
     if spec.system == "ideal":
         time.sleep(60.0)
     return pid_run(spec)
+
+
+def _is_live_worker(pid):
+    """True while *pid* runs the orphan test's snippet (a zombie's
+    cmdline is empty, and a reused PID runs something else)."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return b"WarmPoolBackend" in handle.read()
+    except OSError:
+        return False
 
 
 def _worker_pids(report):
@@ -201,6 +216,40 @@ class TestFaultPaths:
         result = replay_from_dump(dump)
         assert isinstance(result, SimulationResult)
         assert result.system == "ideal"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A SIGKILLed parent never sends exit; its warm workers must see
+        EOF on their pipes and exit instead of lingering as orphans."""
+        snippet = (
+            "import multiprocessing, os, signal\n"
+            "from repro.orchestrator.workers import WarmPoolBackend\n"
+            "ctx = multiprocessing.get_context('fork')\n"
+            "backend = WarmPoolBackend(ctx, runner=None)\n"
+            "for _ in range(2):\n"
+            "    print(backend._spawn_worker().process.pid, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        out = tmp_path / "pids.txt"
+        with open(out, "w") as stdout:
+            proc = subprocess.run([sys.executable, "-c", snippet], env=env,
+                                  stdout=stdout, timeout=60)
+        pids = [int(line) for line in out.read_text().split()]
+        try:
+            assert proc.returncode == -signal.SIGKILL
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10.0
+            while (any(_is_live_worker(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _is_live_worker(pid)]
+            assert not survivors, f"workers {survivors} outlived the parent"
+        finally:
+            for pid in filter(_is_live_worker, pids):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_worker_startup_error_flushes_aborted_summary(
         self, tmp_path, monkeypatch
