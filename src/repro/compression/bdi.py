@@ -174,7 +174,10 @@ class BdiCompressor(CompressionAlgorithm):
                 continue
             if base is None:
                 base = word
-            diff = signed_word - to_signed(base, base_bits)
+            # Deltas are fixed-width differences, as BDI hardware
+            # subtracts: words straddling the signed boundary can still
+            # sit within delta range of the base.
+            diff = to_signed(to_unsigned(word - base, base_bits), base_bits)
             if not fits_signed(diff, delta_bits):
                 return None
             mask.append(True)

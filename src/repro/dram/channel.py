@@ -449,10 +449,19 @@ class Channel:
         # ``earliest_refresh`` scans every bank, but all of its inputs
         # are rank state, so the unclamped value survives until the
         # next command issues on the rank.
+        # The scan never returns less than the rank's due/blocked floor,
+        # so a floor past the best bank candidate skips it (and leaves
+        # the entry empty).
         refresh_cache = self._refresh_unclamped
         for rank_index, rank in enumerate(self.ranks):
             time = refresh_cache[rank_index]
             if time is None:
+                if best is not None:
+                    floor = rank.next_refresh_due
+                    if rank.refresh_blocked_until > floor:
+                        floor = rank.refresh_blocked_until
+                    if floor > best_time:
+                        continue
                 time = rank.earliest_refresh(0.0)
                 refresh_cache[rank_index] = time
             if time < clock:

@@ -86,15 +86,17 @@ _BDI_WIN_ORDER = sorted(
 _SIGNED_FMT = {8: struct.Struct("<8q"), 4: struct.Struct("<16i"), 2: struct.Struct("<32h")}
 
 
-def _base_delta_feasible(signed_words, delta_bits: int) -> bool:
+def _base_delta_feasible(signed_words, delta_bits: int, base_bits: int) -> bool:
     """Mirror of ``BdiCompressor._assign_bases`` feasibility.
 
     Every word must fit the implicit zero base or sit within delta range
-    of the explicit base (the first word that misses the zero base).
+    of the explicit base (the first word that misses the zero base), the
+    difference taken modulo ``2**base_bits`` as the codec takes it.
     """
     half = 1 << (delta_bits - 1)
     lo = -half
     hi = half - 1
+    wrap = 1 << base_bits
     base = None
     for word in signed_words:
         if lo <= word <= hi:
@@ -102,7 +104,12 @@ def _base_delta_feasible(signed_words, delta_bits: int) -> bool:
         if base is None:
             base = word  # delta 0 always fits
             continue
-        if not lo <= word - base <= hi:
+        diff = word - base
+        if diff > hi:
+            diff -= wrap
+        elif diff < lo:
+            diff += wrap
+        if not lo <= diff <= hi:
             return False
     return True
 
@@ -128,7 +135,7 @@ def bdi_classify(data: bytes, limit: int = None) -> Classified:
         words = words_by_base.get(base_size)
         if words is None:
             words = words_by_base[base_size] = _SIGNED_FMT[base_size].unpack(data)
-        if _base_delta_feasible(words, 8 * delta_size):
+        if _base_delta_feasible(words, 8 * delta_size, 8 * base_size):
             return size, config_id
     return None
 

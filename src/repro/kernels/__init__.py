@@ -18,8 +18,9 @@ replaces whole per-record loops with columnar numpy kernels:
   (:mod:`repro.kernels.functional`) built on a chunked-rounds
   set-associative LRU kernel (:mod:`repro.kernels.lru`);
 * the vector *timing* plane for the detailed simulator: batched
-  functional warm-up and memo prewarm (:mod:`repro.kernels.timing`),
-  batch COPR training (:mod:`repro.kernels.copr`), and batched LLC
+  functional warm-up for windows past the runner's size crossover and
+  memo prewarm (:mod:`repro.kernels.timing`), with COPR trained by its
+  scalar update loop (:mod:`repro.kernels.copr`), and batched LLC
   probes (:meth:`repro.cpu.cache.LastLevelCache.access_many`).
 
 Every kernel is required to be **bit-identical** to the scalar path it

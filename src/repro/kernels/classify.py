@@ -7,11 +7,9 @@ apply any byte limit with a comparison instead of re-classifying.
 
 Exactness notes (enforced by differentials in ``tests/test_kernels.py``):
 
-* BDI feasibility uses Python's arbitrary-precision arithmetic in the
-  scalar path; the int64 vector mirror adds a sign-consistency check so
-  a wrapped ``word - base`` difference can never alias into the delta
-  range (wrapping flips the sign relation exactly when the exact
-  difference overflows int64);
+* BDI deltas are ``word - base`` modulo ``2**base_bits``, as in the
+  codec: int64 subtraction wraps 8-byte words by itself, and 2- and
+  4-byte words are wrapped with a mask;
 * FPC zero-run tokens are reproduced with a 16-column scan that tracks
   the position inside the current run (runs are chopped at 8 words, 6
   bits per token), matching the scalar maximal-run walk bit for bit.
@@ -42,7 +40,9 @@ def as_line_matrix(lines: Sequence[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(-1, CACHELINE_BYTES)
 
 
-def _base_delta_feasible_rows(words: np.ndarray, delta_bits: int) -> np.ndarray:
+def _base_delta_feasible_rows(
+    words: np.ndarray, delta_bits: int, base_bits: int
+) -> np.ndarray:
     """Row mask mirroring ``_base_delta_feasible`` over int64 word rows."""
     half = 1 << (delta_bits - 1)
     lo = np.int64(-half)
@@ -53,11 +53,11 @@ def _base_delta_feasible_rows(words: np.ndarray, delta_bits: int) -> np.ndarray:
     base_col = np.argmax(~small, axis=1)
     base = words[np.arange(words.shape[0]), base_col]
     with np.errstate(over="ignore"):
-        diff = words - base[:, None]
-    # diff wraps modulo 2**64; a wrapped value aliases into [lo, hi] only
-    # when the exact difference overflowed, which always flips the sign
-    # relation between diff and (word >= base).
-    in_range = (diff >= lo) & (diff <= hi) & ((diff >= 0) == (words >= base[:, None]))
+        diff = words - base[:, None]  # wraps modulo 2**64
+    if base_bits < 64:
+        sign = np.int64(1 << (base_bits - 1))
+        diff = ((diff + sign) & np.int64((1 << base_bits) - 1)) - sign
+    in_range = (diff >= lo) & (diff <= hi)
     ok = small | in_range
     ok[np.arange(words.shape[0]), base_col] = True  # the base word itself
     return np.where(has_base, ok.all(axis=1), True)
@@ -74,7 +74,7 @@ def bdi_size_matrix(matrix: np.ndarray) -> np.ndarray:
         if words is None:
             words = matrix.view(_SIGNED_VIEW[base_size]).astype(np.int64)
             words_by_base[base_size] = words
-        feasible = _base_delta_feasible_rows(words, 8 * delta_size)
+        feasible = _base_delta_feasible_rows(words, 8 * delta_size, 8 * base_size)
         sizes = np.where((sizes < 0) & feasible, _BDI_CONFIG_SIZE[config_id], sizes)
     repeat8 = (matrix.reshape(count, 8, 8) == matrix[:, None, :8]).all(axis=(1, 2))
     sizes[repeat8] = 9

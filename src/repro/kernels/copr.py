@@ -1,238 +1,32 @@
-"""Array-backed COPR training: batched GI/PaPR/LiPR counter updates.
+"""COPR warm-up training over a whole event stream.
 
-Columnar mirror of :meth:`repro.core.copr.CoprPredictor.update` for the
-no-prediction (warm-up) form ``update(address, compressible)`` over a
-whole event stream.  Three sub-kernels, each bit-identical to the scalar
-component it replaces:
+:func:`copr_train_batch` trains a predictor with the no-prediction
+(warm-up) form ``update(address, compressible)`` of
+:meth:`repro.core.copr.CoprPredictor.update`, one event at a time.
 
-* **GI** — per-region prefix scans: the 2-bit counter after event *i* is
-  ``min(3, i - j)`` where *j* is the last incompressible event (a reset)
-  at or before *i*, so both the pre-update seed value and the final
-  counter fall out of one ``maximum.accumulate`` per region.
-* **PaPR / LiPR** — chunked rounds over packed (sets, ways) matrices,
-  the :mod:`repro.kernels.lru` trick extended to carry per-way payloads
-  (2-bit counters / 64-bit line vectors) through the move-to-front
-  shifts.  Events are partitioned by ``page % min(sets)``: when the
-  larger set count is a multiple of the smaller (true for the repo's
-  power-of-two tables), events of one round map to distinct sets in
-  *both* tables and set-local order is preserved, so each round is one
-  gather / match / shift / scatter pass.
-
-The kernel loads the predictor's current dict state into matrices and
-materialises the end state back (LRU way first, so insertion order
-equals LRU order), leaving the tables exactly as the scalar event loop
-would.  Unsupported configurations (ablated components, non-divisible
-set counts, degenerate round counts) return ``False`` with the
-predictor untouched; callers keep their scalar loop.
+COPR's components form a sequential predict-then-update recurrence:
+each PaPR/LiPR allocation seeds from the state the previous event left.
+The loop is the fastest exact path.  A columnar trainer (GI prefix
+scans plus chunked PaPR/LiPR rounds over packed way matrices) measured
+at most 0.51x its speed over table sizes from factor 64 to paper scale
+and streams of 40 to 48k events: its per-round numpy calls and the walk
+of the dict tables in and out of matrices cost more than the per-event
+updates they replace (docs/PERFORMANCE.md, "The vector timing plane").
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..workloads.datagen import LINES_PER_PAGE
-
 __all__ = ["copr_train_batch"]
-
-_FULL_VECTOR = np.uint64((1 << LINES_PER_PAGE) - 1)
-
-
-def _load_table(table, value_dtype):
-    """Dict-LRU sets -> (tags, values) matrices, column 0 = MRU."""
-    sets, ways = table._sets, table._ways
-    tags = np.full((sets, ways), -1, dtype=np.int64)
-    values = np.zeros((sets, ways), dtype=value_dtype)
-    for set_index, cache_set in enumerate(table._data):
-        if not cache_set:
-            continue
-        # Dict insertion order is LRU -> MRU; column order is MRU-first.
-        for way, (tag, value) in enumerate(reversed(list(cache_set.items()))):
-            tags[set_index, way] = tag
-            values[set_index, way] = value
-    return tags, values
-
-
-def _store_table(table, tags, values) -> None:
-    """Matrices back into dict-LRU sets (LRU way inserted first)."""
-    ways = table._ways
-    for set_index, cache_set in enumerate(table._data):
-        cache_set.clear()
-        row_tags = tags[set_index]
-        row_values = values[set_index]
-        for way in range(ways - 1, -1, -1):
-            tag = int(row_tags[way])
-            if tag >= 0:
-                cache_set[tag] = int(row_values[way])
-
-
-def _gi_train(gi, addresses: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """Batched GlobalIndicator update; returns the pre-update seeds.
-
-    Mutates ``gi._counters`` to the post-stream state and returns, per
-    event, whether the region counter *before* that event exceeded the
-    threshold (the PaPR allocation seed).
-    """
-    total = addresses.shape[0]
-    region = np.minimum(addresses // gi._region_bytes, gi._regions - 1)
-    seeds = np.empty(total, dtype=bool)
-    threshold = gi._threshold
-    counters = gi._counters
-    for region_index in range(gi._regions):
-        member = np.nonzero(region == region_index)[0]
-        if not member.size:
-            continue
-        observed = comp[member]
-        pos = np.arange(member.size)
-        # Inclusive index of the last reset (incompressible event) at or
-        # before each position; -1 while the prefix is all-compressible.
-        last_reset = np.maximum.accumulate(np.where(~observed, pos, -1))
-        prior_reset = np.empty(member.size, dtype=np.int64)
-        prior_reset[0] = -1
-        prior_reset[1:] = last_reset[:-1]
-        initial = counters[region_index]
-        before = np.where(
-            prior_reset >= 0,
-            np.minimum(3, pos - prior_reset - 1),
-            np.minimum(3, initial + pos),
-        )
-        seeds[member] = before > threshold
-        if not observed[-1]:
-            counters[region_index] = 0
-        elif last_reset[-1] >= 0:
-            counters[region_index] = int(min(3, member.size - 1 - last_reset[-1]))
-        else:
-            counters[region_index] = int(min(3, initial + member.size))
-    return seeds
 
 
 def copr_train_batch(copr, addresses, compressible) -> bool:
-    """Train *copr* with ``update(address, outcome)`` per event, batched.
+    """Train *copr* with ``update(address, outcome)`` per event.
 
-    Mirrors the scalar no-prediction update (warm-up training: no
-    accuracy stats) over the whole stream.  Returns ``False`` — with the
-    predictor untouched — when the configuration is unsupported; the
-    caller falls back to the scalar loop.
+    *addresses* and *compressible* are equal-length numpy columns.
+    Records no accuracy statistics (warm-up training).  Always returns
+    ``True``: every COPR configuration is supported.
     """
-    gi, papr, lipr = copr._gi, copr._papr, copr._lipr
-    if gi is None or papr is None or lipr is None:
-        return False
-    papr_table = papr._table
-    lipr_table = lipr._table
-    small = min(papr_table._sets, lipr_table._sets)
-    large = max(papr_table._sets, lipr_table._sets)
-    if small <= 0 or large % small != 0:
-        return False
-
-    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-    comp = np.ascontiguousarray(compressible, dtype=bool)
-    total = addresses.shape[0]
-    if total == 0:
-        return True
-    lines = addresses // 64
-    pages = lines // LINES_PER_PAGE
-    line_in_page = (lines % LINES_PER_PAGE).astype(np.uint64)
-
-    # Round assignment: rank of each event within its page % small
-    # partition.  Distinct partitions map to distinct sets in both
-    # tables (small divides both set counts) and ranks preserve each
-    # partition's event order, so a round's lanes are independent.
-    partition = pages % small
-    order = np.argsort(partition, kind="stable")
-    sorted_partition = partition[order]
-    new_segment = np.empty(total, dtype=bool)
-    new_segment[0] = True
-    new_segment[1:] = sorted_partition[1:] != sorted_partition[:-1]
-    segment_start = np.maximum.accumulate(
-        np.where(new_segment, np.arange(total), 0)
-    )
-    rank = np.arange(total) - segment_start
-    rank_order = np.argsort(rank, kind="stable")
-    sorted_rank = rank[rank_order]
-    rounds = int(sorted_rank[-1]) + 1
-    if rounds > max(64, 16 * (total // small + 1)):
-        # One partition dominates the stream: the round loop would
-        # degenerate toward per-event cost.  Keep the scalar path.
-        return False
-    bounds = np.searchsorted(sorted_rank, np.arange(rounds + 1))
-    lanes_by_round = order[rank_order]
-
-    seeds = _gi_train(gi, addresses, comp)
-
-    papr_tags, papr_values = _load_table(papr_table, np.int64)
-    lipr_tags, lipr_values = _load_table(lipr_table, np.uint64)
-    papr_sets, papr_ways = papr_table._sets, papr_table._ways
-    lipr_sets, lipr_ways = lipr_table._sets, lipr_table._ways
-    papr_shift = np.arange(1, papr_ways)[None, :]
-    lipr_shift = np.arange(1, lipr_ways)[None, :]
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for round_index in range(rounds):
-        lanes = lanes_by_round[bounds[round_index]: bounds[round_index + 1]]
-        page = pages[lanes]
-        observed = comp[lanes]
-        lane_index = np.arange(lanes.shape[0])
-
-        # -- PaPR: 2-bit counters through the move-to-front machinery.
-        rows = page % papr_sets
-        tags = papr_tags[rows]
-        values = papr_values[rows]
-        match = tags == page[:, None]
-        hit = match.any(axis=1)
-        hit_col = np.argmax(match, axis=1)
-        counter = np.where(
-            hit,
-            values[lane_index, hit_col],
-            np.where(seeds[lanes], 3, 0),
-        )
-        # Neighbour propagation only on hits whose saturated conviction
-        # agrees with the observation (pre-update counter).
-        uniform = hit & (
-            ((counter == 3) & observed) | ((counter == 0) & ~observed)
-        )
-        post = np.where(
-            observed, np.minimum(3, counter + 1), np.maximum(0, counter - 1)
-        )
-        occupancy = (tags != -1).sum(axis=1)
-        full = occupancy >= papr_ways
-        slot = np.where(hit, hit_col, np.where(full, papr_ways - 1, occupancy))
-        keep = papr_shift > slot[:, None]
-        tags[:, 1:] = np.where(keep, tags[:, 1:], tags[:, :-1])
-        values[:, 1:] = np.where(keep, values[:, 1:], values[:, :-1])
-        tags[:, 0] = page
-        values[:, 0] = post
-        papr_tags[rows] = tags
-        papr_values[rows] = values
-
-        # -- LiPR: 64-bit vectors; allocation seeds from PaPR's
-        # post-update counter, exactly like ``_update_fast``.
-        rows = page % lipr_sets
-        tags = lipr_tags[rows]
-        vectors = lipr_values[rows]
-        match = tags == page[:, None]
-        hit = match.any(axis=1)
-        hit_col = np.argmax(match, axis=1)
-        vector = np.where(
-            hit,
-            vectors[lane_index, hit_col],
-            np.where(post >= 2, _FULL_VECTOR, zero),
-        )
-        bit = one << line_in_page[lanes]
-        vector = np.where(
-            uniform,
-            np.where(observed, _FULL_VECTOR, zero),
-            np.where(observed, vector | bit, vector & ~bit),
-        )
-        occupancy = (tags != -1).sum(axis=1)
-        full = occupancy >= lipr_ways
-        slot = np.where(hit, hit_col, np.where(full, lipr_ways - 1, occupancy))
-        keep = lipr_shift > slot[:, None]
-        tags[:, 1:] = np.where(keep, tags[:, 1:], tags[:, :-1])
-        vectors[:, 1:] = np.where(keep, vectors[:, 1:], vectors[:, :-1])
-        tags[:, 0] = page
-        vectors[:, 0] = vector
-        lipr_tags[rows] = tags
-        lipr_values[rows] = vectors
-
-    _store_table(papr_table, papr_tags, papr_values)
-    _store_table(lipr_table, lipr_tags, lipr_values)
+    update = copr.update
+    for address, outcome in zip(addresses.tolist(), compressible.tolist()):
+        update(address, outcome)
     return True

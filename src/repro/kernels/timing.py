@@ -13,11 +13,14 @@ produce up front.  This module vectorises both, bit-identically:
   trace columns — one :meth:`LastLevelCache.access_many` pass, analytic
   store-version reconstruction (the :mod:`repro.kernels.functional`
   searchsorted machinery), bulk materialisation of the controller's
-  stored-state dicts, one more LRU pass for the metadata cache, and the
-  batched COPR trainer (:func:`repro.kernels.copr.copr_train_batch`) —
-  then rebuilds ``workload.traces`` to start at the timed window.  Any
-  configuration it cannot mirror exactly returns ``False`` with no
-  state touched; the caller keeps the scalar loop.
+  stored-state dicts, one more LRU pass for the metadata cache, and
+  COPR trained with its scalar update over the reconstructed event
+  columns (:func:`repro.kernels.copr.copr_train_batch`) — then rebuilds
+  ``workload.traces`` to start at the timed window.  Any configuration
+  it cannot mirror exactly returns ``False`` with no state touched; the
+  caller keeps the scalar loop.  The runner only calls it for windows
+  of at least ``repro.sim.runner.VECTOR_WARMUP_MIN_EVENTS`` records:
+  below that its fixed costs make it slower than the scalar loop.
 * :func:`prewarm_timed_phase` batch-fills the pure memo caches the
   timed window will consult — ``DataModel`` content/class memos at each
   line's warm-state version and the scrambler's keystream cache — so
@@ -257,13 +260,9 @@ def warm_up_vector(workload, llc, controller, warmup_per_core: int) -> bool:
             ev_comp = np.zeros(n_events, dtype=bool)
             ev_comp[wb_index] = wb_classes
             ev_comp[read_index] = rd_classes
-            ev_addresses = ev_line * CACHELINE_BYTES
-            if not copr_train_batch(controller.copr, ev_addresses, ev_comp):
-                update = controller.copr.update
-                for address, compressible in zip(
-                    ev_addresses.tolist(), ev_comp.tolist()
-                ):
-                    update(address, compressible)
+            copr_train_batch(
+                controller.copr, ev_line * CACHELINE_BYTES, ev_comp
+            )
 
     # The timed window resumes where the warm-up stopped.
     workload.traces = [

@@ -195,12 +195,36 @@ def execute_job(spec: JobSpec) -> SimulationResult:
     )
 
 
+def preload_job_imports() -> None:
+    """Import the modules :func:`execute_job` would import on first use.
+
+    A forked worker inherits what its parent imported, so calling this
+    once before the first fork saves every worker (and every recycled
+    replacement) the imports on its first job: the workload bank, and
+    with the vector path on, the kernels plus ``numpy.ma`` (numpy's
+    ``unique`` imports it lazily).
+    """
+    from repro import kernels
+    from repro.workloads import bank  # noqa: F401
+
+    if kernels.enabled():
+        import numpy.ma  # noqa: F401
+
+        from repro.kernels import (  # noqa: F401
+            classify,
+            scramble,
+            timing,
+            tracegen,
+        )
+
+
 __all__ = [
     "JOB_SCHEMA_VERSION",
     "JobSpec",
     "canonical",
     "code_fingerprint",
     "execute_job",
+    "preload_job_imports",
     "rehydrate",
     "stable_key",
 ]

@@ -238,6 +238,12 @@ class WarmPoolBackend:
         self._bank_root = str(bank_root) if bank_root is not None else None
         self._recycle_after = recycle_after
         self.timing = timing
+        if ctx.get_start_method() == "fork":
+            # Workers inherit the parent's modules: import what jobs
+            # would otherwise import in every fresh worker.
+            from repro.orchestrator.jobs import preload_job_imports
+
+            preload_job_imports()
         self._idle: List[_WarmWorker] = []
         #: every live worker, busy or idle (abort() must reach them all).
         self._workers: List[_WarmWorker] = []

@@ -35,6 +35,12 @@ from repro.workloads.tracegen import build_workload
 
 SYSTEMS = ("baseline", "metadata_cache", "attache", "ideal")
 
+#: Smallest warm-up window (records summed over cores) that takes the
+#: vector warm-up; smaller windows run the scalar loop, which is faster
+#: there because the vector path's fixed costs dominate (measured
+#: crossover table: docs/PERFORMANCE.md, "The vector timing plane").
+VECTOR_WARMUP_MIN_EVENTS = 1024
+
 
 @dataclass(frozen=True)
 class ExperimentScale:
@@ -257,7 +263,7 @@ def run_benchmark(
     vector = kernels.enabled()
     if warmup:
         warmed = False
-        if vector:
+        if vector and warmup * scale.cores >= VECTOR_WARMUP_MIN_EVENTS:
             from repro.kernels.timing import warm_up_vector
 
             warmed = warm_up_vector(workload, llc, controller, warmup)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import fastpath
@@ -89,10 +89,21 @@ _LINE = st.one_of(
 _BDI = BdiCompressor()
 _FPC = FpcCompressor()
 
+#: Lines whose words straddle the signed boundary of their base width:
+#: BDI deltas are fixed-width, so each fits a base-delta encoding.
+_WRAPPING_LINES = [
+    struct.pack("<8Q", *([(1 << 63) - 100] * 7 + [1 << 63])),
+    struct.pack("<16I", *([0x7FFFFFF0] * 8 + [0x80000010] * 8)),
+    struct.pack("<32H", *([0x7FF0] * 16 + [0x8010] * 16)),
+]
+
 
 class TestBdiDifferential:
     @settings(max_examples=300, deadline=None)
     @given(_LINE)
+    @example(_WRAPPING_LINES[0])
+    @example(_WRAPPING_LINES[1])
+    @example(_WRAPPING_LINES[2])
     def test_classify_matches_compress(self, data):
         block = _BDI.compress(data)
         classified = bdi_classify(data)
@@ -268,6 +279,55 @@ def test_channel_fast_selector_matches_reference(data):
         fast = _drive_channel(True, org, stream)
         assert fast == _drive_channel(False, org, stream)
         assert len(fast[1]) == len(stream)
+
+
+def _refresh_straddling_stream(org: DramOrganization) -> list:
+    """A burst of requests just before each of four refresh deadlines,
+    on every rank, so requests are queued when each refresh falls due."""
+    mapper = AddressMapper(org)
+    t_refi = DramTiming().t_refi
+    stream = []
+    for deadline in range(1, 5):
+        arrival = deadline * t_refi - 40.0
+        for i in range(32):
+            address = mapper.encode(MemoryAddress(
+                channel=0,
+                rank=i % org.ranks_per_channel,
+                bank_group=(i // 2) % org.bank_groups,
+                bank=i % org.banks_per_group,
+                row=i % 3,
+                column=i % 8,
+            ))
+            stream.append((
+                arrival + (i // 8), address, mapper.decode(address),
+                i % 3 == 0, _TRANSFERS[i % len(_TRANSFERS)],
+            ))
+    return stream
+
+
+@pytest.mark.parametrize("ranks", [1, 2])
+def test_channel_fast_selector_matches_reference_across_refreshes(ranks):
+    org = DramOrganization(ranks_per_channel=ranks)
+    stream = _refresh_straddling_stream(org)
+    fast = _drive_channel(True, org, stream)
+    assert fast == _drive_channel(False, org, stream)
+    assert len(fast[1]) == len(stream)
+    # Requests were queued when each of the first three refreshes fell
+    # due, and every rank refreshed at least three times before the
+    # last burst was served.
+    t_refi = DramTiming().t_refi
+    for deadline in (t_refi, 2 * t_refi, 3 * t_refi):
+        assert any(
+            stream[index][0] <= deadline < completion
+            for index, __, completion, ___ in fast[1]
+        )
+    last_completion = max(completion for __, ___, completion, ____ in fast[1])
+    for rank in range(ranks):
+        assert sum(
+            1 for cycle, command, ref_rank, __, ___ in fast[0]
+            if command == "REF" and ref_rank == rank
+            and cycle <= last_completion
+        ) >= 3
 
 
 # ----------------------------------------------------------------------

@@ -18,13 +18,14 @@ Mirrors the two-layer discipline of ``tests/test_fastpath.py``:
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
 from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
@@ -97,6 +98,13 @@ _LINE = st.one_of(
 
 @given(lines=st.lists(_LINE, min_size=1, max_size=24))
 @settings(max_examples=60, deadline=None)
+# Words straddling the signed boundary of their base width (BDI deltas
+# are fixed-width).
+@example(lines=[
+    struct.pack("<8Q", *([(1 << 63) - 100] * 7 + [1 << 63])),
+    struct.pack("<16I", *([0x7FFFFFF0] * 8 + [0x80000010] * 8)),
+    struct.pack("<32H", *([0x7FF0] * 16 + [0x8010] * 16)),
+])
 def test_is_compressible_many_matches_scalar(lines):
     matrix = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(-1, 64)
     engine = CompressionEngine()
@@ -402,48 +410,9 @@ def test_vector_gate_controls():
 
 
 # ----------------------------------------------------------------------
-# The vector timing plane: COPR batch training, LLC probe batches, and
-# the detailed-path env gate
+# The vector timing plane: LLC probe batches and the detailed-path env
+# gate
 # ----------------------------------------------------------------------
-
-
-def _copr_state(copr):
-    """Full predictor end state: GI counters plus both tables with
-    their LRU orders (insertion order = recency in the scalar dicts)."""
-    return (
-        list(copr._gi._counters),
-        [list(bucket.items()) for bucket in copr._papr._table._data],
-        [list(bucket.items()) for bucket in copr._lipr._table._data],
-    )
-
-
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_copr_train_batch_matches_scalar(data):
-    from repro.core.copr import CoprPredictor
-    from repro.kernels.copr import copr_train_batch
-
-    count = data.draw(st.integers(1, 300))
-    # Tables small enough that evictions and set conflicts happen.
-    config = CoprConfig(papr_entries=64, papr_ways=4,
-                        lipr_entries=32, lipr_ways=4)
-    memory_bytes = 1 << 22
-    lines = data.draw(st.lists(
-        st.integers(0, memory_bytes // 64 - 1),
-        min_size=count, max_size=count,
-    ))
-    compressible = data.draw(st.lists(
-        st.booleans(), min_size=count, max_size=count,
-    ))
-    addresses = np.array(lines, dtype=np.int64) * 64
-    batch = CoprPredictor(memory_bytes, config)
-    scalar = CoprPredictor(memory_bytes, config)
-    assert copr_train_batch(batch, addresses,
-                            np.array(compressible, dtype=bool))
-    for address, comp in zip(addresses.tolist(), compressible):
-        scalar.update(address, comp)
-    assert _copr_state(batch) == _copr_state(scalar)
-    assert batch.stats.predictions == scalar.stats.predictions == 0
 
 
 @given(data=st.data())
@@ -472,26 +441,56 @@ def test_llc_access_many_matches_scalar(data):
         batch.access_many(addresses, is_write)  # only from empty
 
 
-def test_env_gate_detailed_digest_equality():
-    """REPRO_VECTOR=0 keeps the detailed simulator's digests, with the
-    deep functional warm-up (the vector warm-up + prewarm path) on."""
+def _detailed_gate_runs(warmup_per_core: int) -> dict:
+    """REPRO_VECTOR value -> (digests, warm-up paths taken) of two
+    detailed runs in fresh interpreters."""
     snippet = (
+        "import sys\n"
         "from repro.fastpath.bench import result_digest\n"
-        "from repro.sim.runner import ExperimentScale, run_benchmark\n"
-        "scale = ExperimentScale(name='gate', factor=64, cores=2,\n"
-        "    records_per_core=250, warmup_per_core=750)\n"
+        "from repro.kernels import timing\n"
+        "from repro.sim import runner\n"
+        "paths = []\n"
+        "def spy(path, fn):\n"
+        "    def wrapped(*args):\n"
+        "        paths.append(path)\n"
+        "        return fn(*args)\n"
+        "    return wrapped\n"
+        "timing.warm_up_vector = spy('vector', timing.warm_up_vector)\n"
+        "runner._warm_up = spy('scalar', runner._warm_up)\n"
+        "scale = runner.ExperimentScale(name='gate', factor=64, cores=2,\n"
+        "    records_per_core=250, warmup_per_core=int(sys.argv[1]))\n"
         "for system in ('attache', 'metadata_cache'):\n"
-        "    run = run_benchmark('mcf', system, scale=scale, seed=2018)\n"
+        "    run = runner.run_benchmark('mcf', system, scale=scale,\n"
+        "                               seed=2018)\n"
         "    print(result_digest(run))\n"
+        "print(' '.join(paths))\n"
     )
-    digests = {}
+    runs = {}
     for value in ("0", "1"):
         env = dict(os.environ, REPRO_VECTOR=value)
         proc = subprocess.run(
-            [sys.executable, "-c", snippet], env=env,
+            [sys.executable, "-c", snippet, str(warmup_per_core)], env=env,
             capture_output=True, text=True, check=True,
         )
-        digests[value] = proc.stdout.strip().splitlines()
-    assert digests["0"] == digests["1"]
-    assert len(digests["0"]) == 2
-    assert all(len(d) == 64 for d in digests["0"])
+        *digests, paths = proc.stdout.strip().splitlines()
+        runs[value] = (digests, paths.split())
+    assert len(runs["0"][0]) == 2
+    assert all(len(d) == 64 for d in runs["0"][0])
+    assert runs["0"][1] == ["scalar", "scalar"]
+    return runs
+
+
+def test_env_gate_detailed_digest_equality():
+    """REPRO_VECTOR=0 keeps the detailed simulator's digests, with the
+    deep functional warm-up (the vector warm-up + prewarm path) on."""
+    runs = _detailed_gate_runs(750)
+    assert runs["1"][1] == ["vector", "vector"]
+    assert runs["0"][0] == runs["1"][0]
+
+
+def test_env_gate_small_warmup_takes_the_scalar_loop():
+    """Below the crossover the vector path keeps the scalar warm-up
+    loop (its fixed costs dominate there), with the same digests."""
+    runs = _detailed_gate_runs(100)
+    assert runs["1"][1] == ["scalar", "scalar"]
+    assert runs["0"][0] == runs["1"][0]

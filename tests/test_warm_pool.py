@@ -179,6 +179,36 @@ class TestPoolMechanics:
         with pytest.raises(ValueError, match="pool"):
             Orchestrator(pool="lukewarm")
 
+    def test_preloaded_parent_leaves_jobs_no_imports(self):
+        """After ``preload_job_imports`` a job imports no ``repro`` or
+        ``numpy.ma`` module, so workers forked from that parent start
+        their first job with every import done."""
+        snippet = (
+            "import sys\n"
+            "from repro.orchestrator.jobs import (\n"
+            "    JobSpec, execute_job, preload_job_imports)\n"
+            "from repro.sim.runner import ExperimentScale\n"
+            "preload_job_imports()\n"
+            "before = set(sys.modules)\n"
+            "scale = ExperimentScale(name='preload', factor=64, cores=2,\n"
+            "    records_per_core=40, warmup_per_core=20)\n"
+            "for system in ('attache', 'metadata_cache'):\n"
+            "    execute_job(JobSpec(benchmark='mcf', system=system,\n"
+            "                        seed=2018, scale=scale))\n"
+            "for name in sorted(set(sys.modules) - before):\n"
+            "    print(name)\n"
+        )
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"),
+                   REPRO_VECTOR="1")
+        proc = subprocess.run([sys.executable, "-c", snippet], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        imported = proc.stdout.split()
+        assert not [name for name in imported
+                    if name.split(".")[0] == "repro"
+                    or name.startswith("numpy.ma")], imported
+
     def test_invalid_recycle_rejected(self):
         with pytest.raises(ValueError, match="recycle_after"):
             WarmPoolBackend(None, pid_run, recycle_after=0)
