@@ -12,9 +12,10 @@ gates it against the committed ``benchmarks/BENCH_<pin>.json``:
 * timing — the pinned RAND/attache point with a deep functional
   warm-up, vector timing plane on vs off.
 
-For every pin, all runs of both modes must produce one digest, the fast
-mode must beat the slow one outright, and the speedup must not fall
-more than 25% below the committed ratio.  The gates compare *ratios*,
+For every pin, all runs of both modes must produce one digest, equal
+to the digest each mode has in the committed baseline; the fast mode
+must beat the slow one outright, and the speedup must not fall more
+than 25% below the committed ratio.  The gates compare *ratios*,
 not wall clocks: absolute times depend on the machine, but dividing one
 mode's time by the other's on the same machine cancels that out.  After
 a deliberate perf change, re-measure on a quiet machine
@@ -64,6 +65,12 @@ def test_perf_trajectory(name, report_dir):
         f"{name}: {fast} is not bit-identical to {slow}: digests "
         f"{report.fast.digest[:16]} vs {report.slow.digest[:16]}"
     )
+    for label, run in ((fast, report.fast), (slow, report.slow)):
+        pinned = baseline["modes"][label]["digest"]
+        assert run.digest == pinned, (
+            f"{name}: {label} digest {run.digest[:16]} differs from the "
+            f"committed {pinned[:16]} in {baseline_path.name}"
+        )
     assert report.speedup > 1.0, (
         f"{name}: {fast} is slower than {slow}: {report.speedup:.2f}x"
     )

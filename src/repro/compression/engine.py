@@ -27,28 +27,6 @@ from repro.util.bitops import CACHELINE_BYTES
 #: minus the 2-byte (15-bit CID + 1-bit XID) Metadata-Header.
 SUBRANK_PAYLOAD_BYTES = 30
 
-#: When not ``None``, newly constructed engines adopt process-wide memo
-#: dicts shared between every engine with the same fingerprint (same
-#: algorithms, target size and capacity).  Entries are pure functions of
-#: line content, so sharing cannot change any result — it only turns
-#: repeat compressions of the same line across jobs into cache hits.
-#: Warm sweep workers switch this on; spawn-per-job runs never do.
-_shared_registry: Optional[Dict[tuple, tuple]] = None
-
-
-def enable_shared_caches() -> None:
-    """Share compression memo caches between same-config engines."""
-    global _shared_registry
-    if _shared_registry is None:
-        _shared_registry = {}
-
-
-def disable_shared_caches() -> None:
-    """Return to per-engine memo caches (and drop shared contents)."""
-    global _shared_registry
-    _shared_registry = None
-
-
 @dataclass
 class CompressionStats:
     """Aggregate counters maintained by a :class:`CompressionEngine`."""
@@ -102,18 +80,32 @@ class CompressionEngine:
         self._by_name = {algo.name: algo for algo in self._algorithms}
         self._target_size = target_size
         self._cache_entries = cache_entries
-        self._cache: "OrderedDict[bytes, Optional[CompressedBlock]]" = OrderedDict()
         self.stats = CompressionStats()
         # Fast path: size-only classification.  Active only when every
         # racing algorithm has an exact size classifier — an engine with
         # an exotic compressor transparently keeps the full-encode path.
         size_fns = [_classifiers.classify(algo) for algo in self._algorithms]
         self._size_fns = size_fns if all(size_fns) and fastpath.enabled() else None
+        #: Everything the engine's output depends on: engines with equal
+        #: fingerprints compress every line alike.
+        self.fingerprint = (
+            tuple(type(algo).__name__ for algo in self._algorithms),
+            tuple(names),
+            target_size,
+        )
+        # Both caches are pure functions of line content, so engines of
+        # one fingerprint may share them (fastpath.share_memos); the
+        # capacity and the entry shape (size-only winners exist only on
+        # the fast path) complete the memo's fingerprint.
+        memo_key = (self.fingerprint, cache_entries, self._size_fns is not None)
+        self._cache: "OrderedDict[bytes, Optional[CompressedBlock]]" = (
+            fastpath.memo("compression.content", memo_key, OrderedDict)
+        )
         #: content -> (size, algorithm index, token) of the winner, or
         #: ``None`` for an incompressible line.  Kept separate from
         #: ``_cache`` so size-only queries never force materialisation.
         self._size_cache: "OrderedDict[bytes, Optional[Tuple[int, int, object]]]" = (
-            OrderedDict()
+            fastpath.memo("compression.size", memo_key, OrderedDict)
         )
         self.perf_classify = fastpath.CacheCounters()
         self.perf_full_encodes = 0
@@ -127,19 +119,6 @@ class CompressionEngine:
             if self._size_fns is not None
             else {}
         )
-        if _shared_registry is not None and cache_entries:
-            fingerprint = (
-                tuple(type(algo).__name__ for algo in self._algorithms),
-                tuple(names),
-                target_size,
-                cache_entries,
-                self._size_fns is not None,
-            )
-            shared = _shared_registry.get(fingerprint)
-            if shared is None:
-                _shared_registry[fingerprint] = (self._cache, self._size_cache)
-            else:
-                self._cache, self._size_cache = shared
 
     @property
     def target_size(self) -> int:

@@ -177,6 +177,10 @@ class BlemEngine:
                 code: ((self._cid << cid_shift) | (code << info_shift)).to_bytes(2, "big")
                 for code in self._algorithm_codes.values()
             }
+        #: Everything encode_write and decode_read compute depends on:
+        #: engines with equal fingerprints store and read every line
+        #: alike.
+        self.fingerprint = (config, scrambler.seed, boot_seed, engine.fingerprint)
 
     @property
     def config(self) -> BlemConfig:

@@ -98,8 +98,11 @@ class MemoryController(abc.ABC):
             memory.config.predictor_latency_cycles
         )
         #: aligned address -> sub-rank; pure function of the address
-        #: mapping, queried once or more per line access.
-        self._subrank_memo: dict = {}
+        #: mapping, queried once or more per line access.  Controllers on
+        #: one mapping may share it (fastpath.share_memos).
+        self._subrank_memo: dict = fastpath.memo(
+            "core.subrank", memory.mapper.fingerprint
+        )
         # Observability is null by default: the registry hands out no-op
         # instruments and the tracer is None, so the hot-path hooks cost
         # one attribute check each.
@@ -131,7 +134,7 @@ class MemoryController(abc.ABC):
             subrank = self._org.subrank_of_location(
                 decoded.row, decoded.bank_group, decoded.bank
             )
-            if len(memo) >= 65536:
+            if len(memo) >= fastpath.MEMO_ENTRIES:
                 memo.clear()
             memo[aligned] = subrank
         return subrank
@@ -503,6 +506,19 @@ class AttacheController(MemoryController, _CompressedStoreMixin):
         self._fastpath = fastpath.enabled()
         self._verified_reads: Dict[int, StoredLine] = {}
         self.perf_verified_reads = fastpath.CacheCounters()
+        # BLEM's encode and decode are pure functions of their arguments
+        # under the BLEM fingerprint, so the fast path memoises both:
+        # (address, content, primary) -> (image, spilled bit) and
+        # (address, image, spilled bit) -> decoded bytes.  Controllers of
+        # one fingerprint may share them (fastpath.share_memos); a hit
+        # replays the BlemStats counters the call would have bumped.
+        fingerprint = self.blem.fingerprint
+        self._encodes: Optional[dict] = (
+            fastpath.memo("blem.encode", fingerprint) if self._fastpath else None
+        )
+        self._decodes: Optional[dict] = (
+            fastpath.memo("blem.decode", fingerprint) if self._fastpath else None
+        )
 
     # ------------------------------------------------------------------
     # Functional storage
@@ -525,36 +541,77 @@ class AttacheController(MemoryController, _CompressedStoreMixin):
         self, address: int, content: bytes, at_boot: bool = False
     ) -> StoredLine:
         line = self._line_of(address)
-        stored, spilled = self.blem.encode_write(
-            address, content, self._primary_subrank(address)
-        )
+        primary = self._primary_subrank(address)
+        encodes = self._encodes
+        if encodes is None:
+            stored, spilled = self.blem.encode_write(address, content, primary)
+        else:
+            key = (address, content, primary)
+            encoded = encodes.get(key)
+            if encoded is None:
+                encoded = self.blem.encode_write(address, content, primary)
+                if len(encodes) >= fastpath.MEMO_ENTRIES:
+                    encodes.clear()
+                encodes[key] = encoded
+            else:
+                self._replay_write_counters(encoded[0])
+            stored, spilled = encoded
         self._stored_lines[line] = stored
         if spilled is not None:
             self.replacement_area.write_bit(line, spilled)
         return stored
 
+    def _replay_write_counters(self, stored: StoredLine) -> None:
+        """Bump the BlemStats write counters encode_write bumped when it
+        produced *stored*."""
+        blem_stats = self.blem.stats
+        if stored.is_compressed:
+            blem_stats.writes_compressed += 1
+        else:
+            blem_stats.writes_uncompressed += 1
+            if stored.collision:
+                blem_stats.write_collisions += 1
+
+    def _replay_read_counters(self, stored: StoredLine) -> None:
+        """Bump the BlemStats read counters decode_read bumps for
+        *stored* (it classifies by the header, which encode_write
+        derived from the same flags)."""
+        blem_stats = self.blem.stats
+        if stored.is_compressed:
+            blem_stats.reads_compressed += 1
+        elif stored.collision:
+            blem_stats.read_collisions += 1
+        else:
+            blem_stats.reads_uncompressed += 1
+
     def _decode_and_verify(self, address: int, stored: StoredLine) -> None:
         line = self._line_of(address)
         if self._fastpath and self._verified_reads.get(line) is stored:
-            # Same image, same address: the decode is a pure repeat.
-            # Replay the exact counters the full path would have bumped
-            # (decode_read classifies by the header, which encode_write
-            # derived from the same flags) so stats stay identical.
+            # Same image, same address: the decode and its verification
+            # are pure repeats.  Replay the counters the full path would
+            # have bumped, the Replacement-Area read included.
             self.perf_verified_reads.hits += 1
-            blem_stats = self.blem.stats
-            if stored.is_compressed:
-                blem_stats.reads_compressed += 1
-            elif stored.collision:
-                blem_stats.read_collisions += 1
+            if stored.collision:
                 self.replacement_area.stats.reads += 1
-            else:
-                blem_stats.reads_uncompressed += 1
+            self._replay_read_counters(stored)
             return
         self.perf_verified_reads.misses += 1
         spilled = (
             self.replacement_area.read_bit(line) if stored.collision else None
         )
-        decoded = self.blem.decode_read(address, stored, spilled)
+        decodes = self._decodes
+        if decodes is None:
+            decoded = self.blem.decode_read(address, stored, spilled)
+        else:
+            key = (address, stored, spilled)
+            decoded = decodes.get(key)
+            if decoded is None:
+                decoded = self.blem.decode_read(address, stored, spilled)
+                if len(decodes) >= fastpath.MEMO_ENTRIES:
+                    decodes.clear()
+                decodes[key] = decoded
+            else:
+                self._replay_read_counters(stored)
         if self._verify:
             expected = self._written_content(line)
             if decoded != expected:

@@ -154,11 +154,17 @@ class AddressMapper:
         self._col_low_bits = column_low_bits
         self._col_low = 1 << column_low_bits
         self._col_high = organization.blocks_per_row // self._col_low
+        #: Everything decode() depends on: mappers with equal
+        #: fingerprints place every address alike.
+        self.fingerprint = (organization, column_low_bits)
         # decode() is pure and called several times per access (controller,
         # memory system, sub-rank placement); the fast path memoises the
-        # frozen result per address with a bounded cache.
-        self._decode_cache: dict = {} if fastpath.enabled() else None
-        self._decode_cache_limit = 1 << 16
+        # frozen result per address with a bounded cache, which mappers
+        # of one fingerprint may share (fastpath.share_memos).
+        self._decode_cache: dict = (
+            fastpath.memo("dram.decode", self.fingerprint)
+            if fastpath.enabled() else None
+        )
 
     @property
     def organization(self) -> DramOrganization:
@@ -177,7 +183,7 @@ class AddressMapper:
                 return decoded
         decoded = self._decode_uncached(byte_address)
         if cache is not None:
-            if len(cache) >= self._decode_cache_limit:
+            if len(cache) >= fastpath.MEMO_ENTRIES:
                 cache.clear()
             cache[byte_address] = decoded
         return decoded

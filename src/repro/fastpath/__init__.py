@@ -14,6 +14,8 @@ faster *without changing its output*:
 * an incremental FR-FCFS candidate cache with per-(rank, bank) bucket
   invalidation and event-horizon skipping
   (:class:`repro.dram.channel.Channel`);
+* one registry of pure memos (:func:`memo`) that warm sweep workers
+  share across jobs with a single switch (:func:`share_memos`);
 * the profiling harness (:mod:`repro.fastpath.bench` and the
   ``repro profile`` CLI subcommand) that proves the above.
 
@@ -36,15 +38,18 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Callable, Dict, Hashable, Iterator, Optional, TypeVar
 
 __all__ = [
     "CacheCounters",
     "Gate",
+    "MEMO_ENTRIES",
     "SchedulerCounters",
     "enabled",
+    "memo",
     "overridden",
     "set_enabled",
+    "share_memos",
 ]
 
 
@@ -90,6 +95,55 @@ _gate = Gate("REPRO_FASTPATH")
 enabled = _gate.enabled
 set_enabled = _gate.set_enabled
 overridden = _gate.overridden
+
+
+# ----------------------------------------------------------------------
+# Pure memos
+#
+# Every memo below maps a key to a pure function of that key under its
+# owner's configuration (the *fingerprint*).  Two owners with equal
+# fingerprints would therefore compute equal entries, so they may share
+# one dict: a shared entry is exactly the value the owner would have
+# computed itself.  Warm sweep workers turn sharing on, so the second
+# job on a workload starts with the first one's entries; every other
+# process keeps one private memo per owner.
+# ----------------------------------------------------------------------
+
+#: Capacity of each memo; owners clear a memo wholesale when it is full
+#: (entries are pure, so the eviction policy is invisible to results).
+#: Working sets in the bundled workloads are a few thousand distinct
+#: lines, which this covers while bounding each memo's memory.
+MEMO_ENTRIES = 65536
+
+_T = TypeVar("_T")
+
+#: ``(name, fingerprint) -> memo`` while sharing is on, else ``None``.
+_shared_memos: Optional[Dict[tuple, object]] = None
+
+
+def share_memos(on: bool) -> None:
+    """Share pure memos between same-fingerprint owners built later
+    (``True``), or give every owner its own again and drop the shared
+    entries (``False``)."""
+    global _shared_memos
+    if not on:
+        _shared_memos = None
+    elif _shared_memos is None:
+        _shared_memos = {}
+
+
+def memo(name: str, fingerprint: Hashable,
+         factory: Callable[[], _T] = dict) -> _T:
+    """The memo an owner should use: the process-wide one for
+    ``(name, fingerprint)`` while sharing is on, else a fresh private
+    ``factory()``."""
+    if _shared_memos is None:
+        return factory()
+    key = (name, fingerprint)
+    shared = _shared_memos.get(key)
+    if shared is None:
+        shared = _shared_memos[key] = factory()
+    return shared
 
 
 # ----------------------------------------------------------------------

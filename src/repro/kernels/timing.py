@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..fastpath import MEMO_ENTRIES
 from ..util.bitops import CACHELINE_BYTES
 from .copr import copr_train_batch
 from .datagen import line_classes, lines_data
@@ -282,13 +283,16 @@ def prewarm_timed_phase(workload, controller, offset: int, count: int) -> None:
     """Batch-fill the pure memo caches the timed window will consult.
 
     Unique lines of the timed window (columns ``[offset:offset+count]``)
-    get their content bytes and compressibility class memoised at the
-    version the controller's warm state pins (``_version_written``, or
-    0 for untouched lines) — the version every first-touch boot encode
-    and verification read will ask for — and, for BLEM controllers, the
-    scrambler keystream for the line's base address.  All three caches
-    are pure functions of their key, so this changes no simulated
-    outcome, only when the work happens.
+    get their compressibility class memoised at the version the
+    controller's warm state pins (``_version_written``, or 0 for
+    untouched lines) — the version every first-touch read will ask
+    for.  BLEM controllers, the only ones that read line bytes (boot
+    encodes and verification reads), also get each line's content at
+    that version and the scrambler keystream for its base address;
+    ideal and metadata-cache controllers read classes only, so their
+    content is never generated.  All three caches are pure functions of
+    their key, so this changes no simulated outcome, only when the work
+    happens.
     """
     columns = getattr(workload, "columns", None)
     if not columns or count <= 0:
@@ -299,6 +303,7 @@ def prewarm_timed_phase(workload, controller, offset: int, count: int) -> None:
     data_model = workload.data_model
     if not hasattr(data_model, "regions"):
         return
+    blem = getattr(controller, "blem", None)
     rows = []
     for addresses, __, ___ in columns:
         row = np.asarray(addresses, dtype=np.uint64)
@@ -320,30 +325,32 @@ def prewarm_timed_phase(workload, controller, offset: int, count: int) -> None:
         model = regions[region_index][2]
         member_lines = unique_lines[member].astype(np.uint64)
         member_versions = versions[member]
-        content_cache = model._content_cache
         limit = model._content_cache_limit - _MEMO_HEADROOM
-        missing = np.fromiter(
-            (
-                (line, version) not in content_cache
-                for line, version in zip(
-                    member_lines.tolist(), member_versions.tolist()
-                )
-            ),
-            dtype=bool,
-            count=member_lines.shape[0],
-        )
-        if missing.any() and len(content_cache) + int(missing.sum()) < limit:
-            need = np.nonzero(missing)[0]
-            matrix = lines_data(
-                model, member_lines[need], member_versions[need].astype(np.uint64)
+        if blem is not None:
+            content_cache = model._content_cache
+            missing = np.fromiter(
+                (
+                    (line, version) not in content_cache
+                    for line, version in zip(
+                        member_lines.tolist(), member_versions.tolist()
+                    )
+                ),
+                dtype=bool,
+                count=member_lines.shape[0],
             )
-            for i, (line, version) in enumerate(
-                zip(
-                    member_lines[need].tolist(),
-                    member_versions[need].tolist(),
+            if missing.any() and len(content_cache) + int(missing.sum()) < limit:
+                need = np.nonzero(missing)[0]
+                matrix = lines_data(
+                    model, member_lines[need],
+                    member_versions[need].astype(np.uint64),
                 )
-            ):
-                content_cache[(line, version)] = matrix[i].tobytes()
+                for i, (line, version) in enumerate(
+                    zip(
+                        member_lines[need].tolist(),
+                        member_versions[need].tolist(),
+                    )
+                ):
+                    content_cache[(line, version)] = matrix[i].tobytes()
         class_cache = model._class_cache
         if (
             class_cache is not None
@@ -357,11 +364,8 @@ def prewarm_timed_phase(workload, controller, offset: int, count: int) -> None:
             ):
                 class_cache[(line, version)] = cls
 
-    blem = getattr(controller, "blem", None)
     if blem is None:
         return
-    from ..scramble.scrambler import _KEYSTREAM_CACHE_ENTRIES
-
     scrambler = blem._scrambler
     keystreams = scrambler._keystreams
     line_addresses = unique_lines * CACHELINE_BYTES
@@ -372,7 +376,7 @@ def prewarm_timed_phase(workload, controller, offset: int, count: int) -> None:
     ]
     if missing_addresses and (
         len(keystreams) + len(missing_addresses)
-        < _KEYSTREAM_CACHE_ENTRIES - _MEMO_HEADROOM
+        < MEMO_ENTRIES - _MEMO_HEADROOM
     ):
         from .scramble import keystream_matrix
 

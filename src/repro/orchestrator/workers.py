@@ -107,15 +107,11 @@ def _warm_worker_main(conn, parent_end, runner, bank_root,
         bank.install(bank_root)
         if timing:
             attach_span = [attach_t0, time.monotonic()]
-    # Compression results and scrambler keystreams are pure functions of
-    # line content / (seed, address), so a warm worker shares their memo
-    # caches across all its jobs (a sweep touches the same workload's
-    # lines over and over, once per grid point).
-    from repro.compression import engine as _engine
-    from repro.scramble import scrambler as _scrambler
-
-    _engine.enable_shared_caches()
-    _scrambler.enable_shared_caches()
+    # Compression results, keystreams, BLEM images and their decodes,
+    # and DRAM coordinates are pure functions of their keys, so a warm
+    # worker shares those memos across all its jobs (a sweep touches the
+    # same workload's lines over and over, once per grid point).
+    fastpath.share_memos(True)
     from repro.orchestrator.jobs import JobSpec
 
     try:

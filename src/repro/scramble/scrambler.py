@@ -18,36 +18,11 @@ integer operation instead of a per-byte generator.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro import fastpath
 from repro.util.bitops import CACHELINE_BYTES
 from repro.util.rng import splitmix64
-
-#: Bound on the per-address keystream memo.  Working sets in the bundled
-#: workloads are a few thousand distinct lines; 65536 entries cover them
-#: while capping memory at ~6 MiB.
-_KEYSTREAM_CACHE_ENTRIES = 65536
-
-#: When not ``None``, scramblers adopt a process-wide keystream memo
-#: shared per boot seed.  Keystreams are pure functions of
-#: ``(seed, address)``, so sharing cannot change a single scrambled
-#: byte — it only spares warm sweep workers regenerating the same
-#: streams for every grid point of a workload.
-_shared_registry: Optional[Dict[int, Dict[int, Tuple[bytes, int]]]] = None
-
-
-def enable_shared_caches() -> None:
-    """Share keystream memos between same-seed scramblers."""
-    global _shared_registry
-    if _shared_registry is None:
-        _shared_registry = {}
-
-
-def disable_shared_caches() -> None:
-    """Return to per-scrambler keystream memos."""
-    global _shared_registry
-    _shared_registry = None
 
 
 class DataScrambler:
@@ -65,11 +40,10 @@ class DataScrambler:
         #: A plain dict cleared wholesale at capacity: the keystream is a
         #: pure function of the address, so the eviction policy is
         #: invisible to results and LRU bookkeeping would be pure tax.
-        self._keystreams: Dict[int, Tuple[bytes, int]] = {}
-        if _shared_registry is not None:
-            self._keystreams = _shared_registry.setdefault(
-                self._seed, self._keystreams
-            )
+        #: Same-seed scramblers may share it (fastpath.share_memos).
+        self._keystreams: Dict[int, Tuple[bytes, int]] = fastpath.memo(
+            "scramble.keystream", self._seed
+        )
         self.perf_keystream = fastpath.CacheCounters()
 
     @property
@@ -116,7 +90,7 @@ class DataScrambler:
             key_int |= ((z ^ (z >> 31)) & 0xFFFFFFFFFFFFFFFF) << shift
             shift += 64
         entry = (key_int.to_bytes(CACHELINE_BYTES, "little"), key_int)
-        if len(self._keystreams) >= _KEYSTREAM_CACHE_ENTRIES:
+        if len(self._keystreams) >= fastpath.MEMO_ENTRIES:
             self._keystreams.clear()
         self._keystreams[address] = entry
         return entry

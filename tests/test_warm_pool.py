@@ -19,6 +19,8 @@ import time
 
 import pytest
 
+from repro.core.blem import BlemConfig
+from repro.core.copr import CoprConfig
 from repro.energy import EnergyReport
 from repro.orchestrator import (
     JobSpec,
@@ -29,7 +31,6 @@ from repro.orchestrator.workers import WarmPoolBackend
 from repro.obs.crashdump import load_crash_dump, replay_from_dump
 from repro.sim.runner import ExperimentScale
 from repro.sim.simulator import SimulationResult
-from repro.sim.sweep import run_sweep
 
 SCALE = ExperimentScale(name="warm-test", factor=64, cores=2,
                         records_per_core=80, warmup_per_core=20)
@@ -98,30 +99,50 @@ def _worker_pids(report):
 # ----------------------------------------------------------------------
 
 class TestGoldenEquality:
-    GRID = dict(benchmarks=["mix1"], systems=SYSTEMS, seeds=[7, 8],
-                scale=SCALE)
+    """Both pools really run (``Orchestrator`` with one worker), and each
+    (benchmark, seed) has two Attaché siblings per BLEM configuration
+    that differ only in PaPR size, so the warm worker's shared memos
+    serve the second sibling.  The small-CID configuration makes CID
+    collisions common, so a memo hit that miscounts a collision (or
+    reads the wrong Replacement-Area bit) changes ``collision_rate``."""
+
+    VARIANTS = [(system, {}) for system in SYSTEMS] + [
+        ("attache", {"copr_config": CoprConfig(papr_entries=256)}),
+        ("attache", {"blem_config": BlemConfig(cid_bits=3)}),
+        ("attache", {"blem_config": BlemConfig(cid_bits=3),
+                     "copr_config": CoprConfig(papr_entries=256)}),
+    ]
+
+    def _specs(self, **extra):
+        return [
+            JobSpec(benchmark="mix1", system=system, seed=seed, scale=SCALE,
+                    parameters={**parameters, **extra})
+            for seed in (7, 8)
+            for system, parameters in self.VARIANTS
+        ]
+
+    def _run(self, pool, specs):
+        report = Orchestrator(jobs=1, pool=pool).run(specs)
+        assert report.ok, [o.error for o in report.failures]
+        return report.results
 
     def test_warm_matches_spawn(self):
-        spawn = run_sweep(jobs=1, pool="spawn", cache_dir=None, **self.GRID)
-        warm = run_sweep(jobs=1, pool="warm", cache_dir=None, **self.GRID)
-        assert not spawn.failures and not warm.failures
-        assert _digests([p.result for p in warm.points]) == _digests(
-            [p.result for p in spawn.points]
-        )
-        assert warm.to_csv() == spawn.to_csv()
+        specs = self._specs()
+        spawn = self._run("spawn", specs)
+        warm = self._run("warm", specs)
+        assert _digests(warm) == _digests(spawn)
+        # The small-CID siblings collide, so the collision path ran.
+        assert any(r.collision_rate for r in warm)
 
     def test_warm_matches_spawn_with_obs(self):
         from repro.obs import ObsConfig
 
-        obs = ObsConfig(epoch_cycles=512.0, trace=False)
-        spawn = run_sweep(jobs=1, pool="spawn", obs=obs, **self.GRID)
-        warm = run_sweep(jobs=1, pool="warm", obs=obs, **self.GRID)
-        assert not spawn.failures and not warm.failures
-        assert _digests([p.result for p in warm.points]) == _digests(
-            [p.result for p in spawn.points]
-        )
+        specs = self._specs(obs=ObsConfig(epoch_cycles=512.0, trace=False))
+        spawn = self._run("spawn", specs)
+        warm = self._run("warm", specs)
+        assert _digests(warm) == _digests(spawn)
         # The obs channel actually carried data (schema v2 payloads).
-        assert all(p.result.obs is not None for p in warm.points)
+        assert all(r.obs is not None for r in warm)
 
 
 # ----------------------------------------------------------------------
