@@ -241,10 +241,6 @@ class FigureStatus:
     cached_points: int  #: points already present in the result cache
     total_points: int
 
-    @property
-    def missing_points(self) -> int:
-        return self.total_points - self.cached_points
-
 
 def _state_path(out_dir: pathlib.Path) -> pathlib.Path:
     return out_dir / STATE_FILE

@@ -19,6 +19,7 @@ from repro.analysis import format_table
 from repro.core.controllers import DEFAULT_METADATA_BASE
 from repro.core.metadata_cache import MetadataCache
 from repro.fastpath.bench import PINS, result_digest
+from repro.orchestrator.workers import POOL_MODES
 from repro.sim.functional import run_functional
 from repro.sim.runner import (
     SYSTEMS,
@@ -585,22 +586,26 @@ def _grid_chaos(args: argparse.Namespace):
         raise SystemExit(f"error: --chaos {spec!r}: {exc}") from None
 
 
-def _run_grid(args: argparse.Namespace, run_dir=None):
-    """Shared sweep/orchestrate execution path."""
+def _run_grid(args: argparse.Namespace, scale, obs, run_dir=None):
+    """Shared sweep/orchestrate execution path.
+
+    *scale* and *obs* fold into every job's cache key: fresh runs take
+    them from the command line, resumes from the run's ``run.json``.
+    """
     from repro.sim.sweep import run_sweep
 
     return run_sweep(
         benchmarks=list(args.benchmarks),
         systems=list(args.systems),
         seeds=list(args.seeds) if args.seeds else [args.seed],
-        scale=_scale_from_args(args),
+        scale=scale,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         run_dir=run_dir,
         timeout_s=args.timeout,
         retries=args.retries,
         progress=args.progress,
-        obs=_grid_obs(args),
+        obs=obs,
         pool=args.pool,
         recycle_after=args.recycle_after,
         fleet=_grid_fleet(args),
@@ -615,7 +620,8 @@ def _report_failures(sweep) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    sweep = _run_grid(args, run_dir=args.run_dir)
+    sweep = _run_grid(args, _scale_from_args(args), _grid_obs(args),
+                      run_dir=args.run_dir)
     csv_text = sweep.to_csv(metrics=list(args.metrics))
     if args.output == "-":
         print(csv_text, end="")
@@ -678,8 +684,8 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
     """Durable, resumable grid runs: ``orchestrate`` / ``orchestrate --resume``."""
     import pathlib
 
+    from repro.obs import ObsConfig
     from repro.orchestrator.manifest import RunManifest
-    from repro.sim.runner import ExperimentScale
 
     if args.action == "replay":
         return _orchestrate_replay(args)
@@ -695,16 +701,20 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         args.benchmarks = spec["benchmarks"]
         args.systems = spec["systems"]
         args.seeds = spec["seeds"]
-        scale = ExperimentScale.from_dict(spec["scale"])
         if args.cache_dir is None:
             args.cache_dir = spec.get("cache_dir")
-        sweep = _run_grid_with_scale(args, scale, run_dir)
+        obs = spec.get("obs")
+        sweep = _run_grid(
+            args, ExperimentScale.from_dict(spec["scale"]),
+            ObsConfig(**obs) if obs is not None else None, run_dir,
+        )
     else:
         if args.run_dir is None:
             print("orchestrate needs --run-dir (or --resume <run-dir>)")
             return 1
         run_dir = pathlib.Path(args.run_dir)
-        sweep = _run_grid(args, run_dir=run_dir)
+        sweep = _run_grid(args, _scale_from_args(args), _grid_obs(args),
+                          run_dir=run_dir)
 
     csv_path = run_dir / "sweep.csv"
     csv_path.write_text(sweep.to_csv(metrics=list(args.metrics)),
@@ -754,7 +764,6 @@ def _cluster_sweep(args: argparse.Namespace) -> int:
     import os
 
     from repro.cluster import connect_cluster
-    from repro.orchestrator import ResultCache
     from repro.sim.sweep import run_sweep
 
     chaos = _grid_chaos(args)
@@ -764,11 +773,7 @@ def _cluster_sweep(args: argparse.Namespace) -> int:
         # agents keep their own REPRO_CHAOS setting).
         os.environ.setdefault("REPRO_CHAOS", args.chaos)
     backend = connect_cluster(
-        args.hosts,
-        agent_jobs=args.agent_jobs,
-        agent_pool=args.pool,
-        cache=(ResultCache(args.cache_dir)
-               if args.cache_dir is not None else None),
+        args.hosts, agent_jobs=args.agent_jobs, agent_pool=args.pool,
     )
     sweep = run_sweep(
         benchmarks=list(args.benchmarks),
@@ -800,8 +805,7 @@ def _cluster_sweep(args: argparse.Namespace) -> int:
     print(format_table(
         ["agent", "address", "jobs served"], rows,
         title=f"cluster: {len(rows)} agent(s), "
-              f"{backend.redispatched} re-dispatched, "
-              f"{backend.speculated} speculated",
+              f"{backend.redispatched} re-dispatched",
     ))
     _report_failures(sweep)
     return 1 if sweep.failures else 0
@@ -856,28 +860,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "status": _cluster_status,
     }
     return handlers[args.cluster_command](args)
-
-
-def _run_grid_with_scale(args, scale, run_dir):
-    from repro.sim.sweep import run_sweep
-
-    return run_sweep(
-        benchmarks=list(args.benchmarks),
-        systems=list(args.systems),
-        seeds=list(args.seeds),
-        scale=scale,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        run_dir=run_dir,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        progress=args.progress,
-        obs=_grid_obs(args),
-        pool=args.pool,
-        recycle_after=args.recycle_after,
-        fleet=_grid_fleet(args),
-        chaos=_grid_chaos(args),
-    )
 
 
 def _read_summary(run_dir):
@@ -1119,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="local worker slots this agent offers",
     )
     agent_parser.add_argument(
-        "--pool", choices=["warm", "spawn"], default="warm",
+        "--pool", choices=POOL_MODES, default="warm",
         help="local execution backend behind the agent",
     )
     agent_parser.add_argument(
@@ -1128,7 +1110,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     agent_parser.add_argument(
         "--cache-dir", default=None,
-        help="agent-local result cache (enables cache federation)",
+        help="agent-local result cache: dispatched keys it holds are "
+             "answered without simulating",
     )
     agent_parser.add_argument("--name", default=None,
                               help="agent name in manifests/telemetry "
@@ -1227,8 +1210,8 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_jobs_arg, default="auto",
                         help="parallel worker processes, or 'auto' (the "
                              "default) to size from CPUs, memory and "
-                             "prior run telemetry")
-    parser.add_argument("--pool", choices=["warm", "spawn"], default="warm",
+                             "the grid size")
+    parser.add_argument("--pool", choices=POOL_MODES, default="warm",
                         help="worker strategy: persistent warm pool with "
                              "a shared workload bank (default) or one "
                              "fresh process per attempt")

@@ -7,12 +7,11 @@ The cluster subsystem turns N machines into one orchestrator pool:
   handshake (protocol version + code fingerprint must match);
 * :mod:`repro.cluster.agent` — the remote worker process
   (``repro cluster agent --listen HOST:PORT``), serving jobs through
-  the same local warm pool single-machine sweeps use;
+  the same local warm pool single-machine sweeps use, and answering
+  keys its optional local result cache holds without simulating;
 * :mod:`repro.cluster.coordinator` — :class:`ClusterBackend`, a drop-in
   execution backend for ``Orchestrator.run`` with heartbeats,
-  dead-agent re-dispatch and speculative straggler duplication;
-* :mod:`repro.cluster.federation` — agent caches + coordinator cache
-  acting as one population (seeded keys, ``result_ref`` replies);
+  dead-agent re-dispatch and a reconnect circuit breaker;
 * :mod:`repro.cluster.ssh` — loopback and SSH agent launchers.
 
 See docs/CLUSTER.md for the protocol and failure model.
@@ -42,7 +41,6 @@ def connect_cluster(
     agent_jobs: int = 1,
     agent_pool: str = "warm",
     agent_cache_dir=None,
-    cache=None,
     **backend_kwargs,
 ) -> ClusterBackend:
     """Resolve, launch and pair every host; return the live backend.
@@ -50,10 +48,8 @@ def connect_cluster(
     *hosts* entries follow :func:`repro.cluster.ssh.parse_host` grammar
     (``HOST:PORT``, ``local``, ``ssh://user@host``).  *agent_jobs* /
     *agent_pool* / *agent_cache_dir* configure agents this call launches
-    (already-running agents keep their own settings).  *cache* is the
-    coordinator's :class:`~repro.orchestrator.cache.ResultCache`, used
-    for cache federation; remaining keyword arguments go to
-    :class:`ClusterBackend`.
+    (already-running agents keep their own settings); remaining keyword
+    arguments go to :class:`ClusterBackend`.
     """
     resolved = resolve_hosts(
         parse_hosts(hosts), jobs=agent_jobs, pool=agent_pool,
@@ -71,7 +67,7 @@ def connect_cluster(
                 process.kill()
                 process.wait()
         raise
-    return ClusterBackend(links, cache=cache, **backend_kwargs)
+    return ClusterBackend(links, **backend_kwargs)
 
 
 def run_cluster_sweep(
@@ -96,15 +92,10 @@ def run_cluster_sweep(
     manifests, telemetry and CSV — with execution dispatched to *hosts*.
     The worker count is the cluster's total slot count.
     """
-    from repro.orchestrator.cache import ResultCache
     from repro.sim.runner import FAST_SCALE
     from repro.sim.sweep import run_sweep
 
-    backend = connect_cluster(
-        hosts, agent_jobs=agent_jobs,
-        cache=ResultCache(cache_dir) if cache_dir is not None else None,
-        **cluster_kwargs,
-    )
+    backend = connect_cluster(hosts, agent_jobs=agent_jobs, **cluster_kwargs)
     return run_sweep(
         benchmarks=benchmarks,
         systems=systems,

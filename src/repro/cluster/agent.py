@@ -38,7 +38,6 @@ from multiprocessing import util as mp_util
 from typing import Dict, Optional
 
 from repro.cluster import protocol
-from repro.cluster.federation import HIT_FULL, HIT_SEEDED, AgentCache
 from repro.cluster.transport import (
     ConnectionClosed,
     FrameChannel,
@@ -79,6 +78,32 @@ class _LocalJob:
     #: Agent-monotonic fleet-span timestamps (zeros when not observed).
     received: float = 0.0  #: job frame arrival
     probe: tuple = ()      #: (t0, t1) around the agent-cache lookup
+
+
+class AgentCache:
+    """The agent's local result cache, as one coordinator session sees it.
+
+    A dispatched key the cache holds is answered without simulating, and
+    every freshly simulated result is stored here as well as shipped to
+    the coordinator, whose orchestrator stores it in its own cache.
+    """
+
+    def __init__(self, cache: Optional[ResultCache]) -> None:
+        self.cache = cache
+
+    def lookup(self, key: str) -> Optional[SimulationResult]:
+        """The locally cached result for *key*, or None."""
+        return self.cache.get(key) if self.cache is not None else None
+
+    def store(self, key: str, result: SimulationResult,
+              label: str = "") -> None:
+        """Record a freshly simulated result (best-effort, never fatal)."""
+        if self.cache is None:
+            return
+        try:
+            self.cache.put(key, result, meta={"job": label, "via": "agent"})
+        except OSError:
+            pass  # a full disk must not fail the job that just succeeded
 
 
 @dataclass
@@ -314,9 +339,6 @@ class AgentServer:
             if set_timing is not None:
                 set_timing(bool(message.get("spans")))
             return True
-        if kind == "seed":
-            agent_cache.seed(message.get("keys", ()))
-            return True
         if kind == "cancel":
             job = inflight.pop(message.get("id"), None)
             if job is not None:
@@ -349,26 +371,16 @@ class AgentServer:
         observed = bool(getattr(backend, "timing", False))
         received = time.monotonic() if observed else 0.0
         probe_t0 = time.monotonic() if observed else 0.0
-        status, cached_result = agent_cache.lookup(key)
+        cached_result = agent_cache.lookup(key)
         probe = (probe_t0, time.monotonic()) if observed else ()
-
-        def cache_timing():
-            if not observed:
-                return None
-            return {"phases": {"cache_probe": list(probe)}, "remote": True}
-
-        if status == HIT_SEEDED:
-            self.stats.served += 1
-            self.stats.cache_hits += 1
-            channel.send(protocol.result_ref(job_id, key, self.name,
-                                             timing=cache_timing()))
-            return
-        if status == HIT_FULL:
+        if cached_result is not None:
             self.stats.served += 1
             self.stats.cache_hits += 1
             channel.send(protocol.result(
                 job_id, key, cached_result.to_dict(), agent=self.name,
-                wall_s=0.0, cached=True, timing=cache_timing(),
+                wall_s=0.0, cached=True,
+                timing=({"phases": {"cache_probe": list(probe)},
+                         "remote": True} if observed else None),
             ))
             return
         try:
@@ -460,6 +472,7 @@ def parse_listen(text: str):
 __all__ = [
     "CHAOS_HANG_S",
     "DEFAULT_SESSION_TIMEOUT_S",
+    "AgentCache",
     "AgentServer",
     "AgentStats",
     "parse_listen",

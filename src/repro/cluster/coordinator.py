@@ -10,20 +10,16 @@ in a local process or on a machine across the network.
 What the backend adds on top of the local ones:
 
 * **dead-agent re-dispatch** — a reader thread per agent notices EOF
-  (and a heartbeat thread notices silence); every unsettled job whose
-  only copy ran on the dead agent is transparently re-sent to a
-  surviving agent.  The orchestrator never sees the failure, so the
-  job's retry budget is spent on *job* failures, not transport ones.
-  Only when no agent survives does the job settle as an error.
-* **speculative re-dispatch** — once at most ``speculate`` jobs remain
-  unsettled (the tail of the sweep), each one older than
-  ``speculate_after_s`` is duplicated onto an idle agent; the first
-  copy to finish wins and the loser is cancelled.  Results are
-  deterministic, so either copy is byte-identical.
-* **cache federation** — seeded keys and ``result_ref`` handling (see
-  :mod:`repro.cluster.federation`); freshly landed results are
-  broadcast as new seeds so agents stop shipping payloads the
-  coordinator already holds.
+  (and a heartbeat thread notices silence); every unsettled job that
+  ran on the dead agent is transparently re-sent to a surviving agent.
+  The orchestrator never sees the failure, so the job's retry budget
+  is spent on *job* failures, not transport ones.  Only when no agent
+  survives does the job settle as an error.
+* **a circuit breaker** — dead agents are re-dialed under capped
+  exponential backoff; repeated strikes or a corrupt frame quarantine
+  the agent to half-open probes only.
+
+Each job runs as exactly one copy at a time, on one agent.
 """
 
 from __future__ import annotations
@@ -32,10 +28,9 @@ import hashlib
 import itertools
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import protocol
-from repro.cluster.federation import known_keys
 from repro.obs.fleet import (
     NULL_SPAN_LOG,
     ClockSample,
@@ -49,7 +44,6 @@ from repro.cluster.transport import (
     TransportError,
 )
 from repro.cluster.transport import connect as transport_connect
-from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.jobs import JobSpec, code_fingerprint
 from repro.orchestrator.workers import WorkerStartupError
 
@@ -60,10 +54,6 @@ DEFAULT_HEARTBEAT_S = 2.0
 #: hard-killed process closes its socket and is caught by EOF long
 #: before this fires — the timeout only catches hung hosts/partitions.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 15.0
-#: Default tail size for speculative re-dispatch.
-DEFAULT_SPECULATE = 2
-#: Default age before an unsettled tail job is worth duplicating.
-DEFAULT_SPECULATE_AFTER_S = 2.0
 #: Reconnect strikes before a dead agent's circuit breaker opens.
 DEFAULT_BREAKER_THRESHOLD = 3
 #: Base of the exponential reconnect backoff (doubles per strike, plus
@@ -159,10 +149,9 @@ class _ClusterJob:
         self.job_id = job_id
         self.key = key
         self.payload = payload
-        self.links: set = set()  #: agents currently running a copy
+        self.link: Optional[AgentLink] = None  #: agent running the job
         self.mailbox: Optional[dict] = None
         self.settled = False
-        self.started = time.monotonic()
 
     # -- the pool's "conn" interface -----------------------------------
 
@@ -195,10 +184,7 @@ class ClusterBackend:
     def __init__(
         self,
         links: Sequence[AgentLink],
-        cache: Optional[ResultCache] = None,
         include_code: bool = True,
-        speculate: int = DEFAULT_SPECULATE,
-        speculate_after_s: float = DEFAULT_SPECULATE_AFTER_S,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
@@ -210,10 +196,7 @@ class ClusterBackend:
         if not links:
             raise WorkerStartupError("a cluster needs at least one agent")
         self._links = list(links)
-        self._cache = cache
         self._include_code = include_code
-        self._speculate = speculate
-        self._speculate_after_s = speculate_after_s
         self._heartbeat_s = heartbeat_s
         self._heartbeat_timeout_s = heartbeat_timeout_s
         self._breaker_threshold = breaker_threshold
@@ -230,7 +213,6 @@ class ClusterBackend:
         self._chaos = None
         self._closing = False
         self.redispatched = 0  #: jobs re-sent after an agent died
-        self.speculated = 0    #: duplicate dispatches of tail jobs
         self.quarantined_agents = 0  #: breaker-open events
         self.backoff_retries = 0     #: failed reconnect probes
         self.revived = 0             #: agents brought back by a probe
@@ -255,19 +237,6 @@ class ClusterBackend:
 
     def agents(self) -> List[AgentLink]:
         return list(self._links)
-
-    # -- cache federation ----------------------------------------------
-
-    def seed_known(self, keys: Iterable[str]) -> int:
-        """Tell every agent which of *keys* the coordinator cache holds."""
-        known = known_keys(self._cache, keys)
-        if known:
-            self._broadcast_seed(known)
-        return len(known)
-
-    def prepare(self, keys: Iterable[str]) -> None:
-        """Orchestrator pre-run hook: static seed over the whole grid."""
-        self.seed_known(keys)
 
     # -- fleet observability --------------------------------------------
 
@@ -305,18 +274,6 @@ class ClusterBackend:
             for link in self._links:
                 link.channel.chaos = plan
 
-    def _broadcast_seed(self, keys: List[str],
-                        except_link: Optional[AgentLink] = None) -> None:
-        message = protocol.seed(keys)
-        with self._cond:
-            targets = [l for l in self._links
-                       if l.alive and l is not except_link]
-        for link in targets:
-            try:
-                link.channel.send(message)
-            except ConnectionClosed:
-                self._mark_dead(link)
-
     # -- backend interface (what the pool's scheduling loop calls) ------
 
     def launch(self, job_payload: dict) -> Tuple[object, object, object]:
@@ -330,8 +287,7 @@ class ClusterBackend:
                 self._dispatch(job)
             except WorkerStartupError:
                 # No surviving agent: the job never started anywhere, so
-                # it must not linger (speculation would double-run it
-                # after a degraded orchestrator re-runs it locally).
+                # it must not linger in the job table.
                 del self._jobs[job.job_id]
                 raise
         return job, job, None
@@ -346,20 +302,20 @@ class ClusterBackend:
         self.retire_ok(slot)
 
     def kill(self, slot) -> None:
-        """Per-job timeout: cancel every copy on every agent."""
+        """Per-job timeout: cancel the job on its agent."""
         job = slot.conn
         with self._cond:
-            job.settled = True  # late results are dropped, not delivered
+            job.settled = True  # a late result is dropped, not delivered
             self._jobs.pop(job.job_id, None)
-            links = list(job.links)
-            job.links.clear()
-        for link in links:
-            link.inflight.discard(job.job_id)
-            if link.alive:
-                try:
-                    link.channel.send(protocol.cancel(job.job_id))
-                except ConnectionClosed:
-                    self._mark_dead(link)
+            link, job.link = job.link, None
+        if link is None:
+            return
+        link.inflight.discard(job.job_id)
+        if link.alive:
+            try:
+                link.channel.send(protocol.cancel(job.job_id))
+            except ConnectionClosed:
+                self._mark_dead(link)
 
     def abort(self, running) -> None:
         """Interrupted mid-run: drop every job and tear the links down."""
@@ -410,10 +366,9 @@ class ClusterBackend:
 
     # -- dispatch and routing ------------------------------------------
 
-    def _pick_link(self, exclude=()) -> AgentLink:
+    def _pick_link(self) -> AgentLink:
         with self._cond:
-            candidates = [l for l in self._links
-                          if l.alive and l not in exclude]
+            candidates = [l for l in self._links if l.alive]
             if not candidates:
                 raise NoAgentsError("no surviving cluster agents")
             idle = [l for l in candidates if l.free_slots > 0]
@@ -422,27 +377,24 @@ class ClusterBackend:
             pool = idle or candidates
             return max(pool, key=lambda l: (l.free_slots, -len(l.inflight)))
 
-    def _dispatch(self, job: _ClusterJob,
-                  exclude: Sequence[AgentLink] = ()) -> AgentLink:
-        """Send one copy of *job* to the best surviving agent."""
-        excluded = set(exclude)
+    def _dispatch(self, job: _ClusterJob) -> AgentLink:
+        """Send *job* to the best surviving agent."""
         while True:
-            link = self._pick_link(exclude=excluded)
+            link = self._pick_link()
             try:
                 link.channel.send(
                     protocol.job(job.job_id, job.key, job.payload)
                 )
             except ConnectionClosed:
-                self._mark_dead(link)
-                excluded.add(link)
+                self._mark_dead(link)  # not alive: the next pick skips it
                 continue
             link.inflight.add(job.job_id)
-            job.links.add(link)
+            job.link = link
             if (self._chaos is not None and self._chaos.should(
                     "agent.drop", f"{link.name}:{job.key}")):
                 # Sever the connection right after the dispatch landed:
                 # the reader sees EOF, marks the link dead and re-routes
-                # every orphaned copy; the breaker revives the (still
+                # every orphaned job; the breaker revives the (still
                 # healthy, still listening) agent after its backoff.
                 link.channel.close()
             return link
@@ -481,28 +433,6 @@ class ClusterBackend:
             if timing is not None:
                 out["timing"] = timing
             return out
-        if kind == "result_ref":
-            cached = (
-                self._cache.get(message["key"])
-                if self._cache is not None else None
-            )
-            if cached is None:
-                return {
-                    "status": "error",
-                    "error": "agent answered with a seeded cache "
-                             "reference but the coordinator cache has "
-                             f"no entry for {message['key'][:12]}…",
-                    "agent": message.get("agent", link.name),
-                }
-            out = {
-                "status": "ok",
-                "result": cached.to_dict(),
-                "agent": message.get("agent", link.name),
-                "cached": True,
-            }
-            if timing is not None:
-                out["timing"] = timing
-            return out
         payload = {
             "status": "error",
             "error": message.get("error", "agent error"),
@@ -523,26 +453,11 @@ class ClusterBackend:
             link.served += 1
             job = self._jobs.get(job_id)
             if job is None or job.settled:
-                return  # a cancelled copy finished anyway; drop it
+                return  # a cancelled job finished anyway; drop it
             job.settled = True
             job.mailbox = self._payload_from(link, message)
-            losers = [l for l in job.links if l is not link]
-            job.links.clear()
+            job.link = None
             self._cond.notify_all()
-        for loser in losers:
-            loser.inflight.discard(job_id)
-            if loser.alive:
-                try:
-                    loser.channel.send(protocol.cancel(job_id))
-                except ConnectionClosed:
-                    self._mark_dead(loser)
-        if (self._cache is not None
-                and job.mailbox.get("status") == "ok"
-                and not job.mailbox.get("cached")):
-            # The orchestrator stores this result in the coordinator
-            # cache as it settles; seed the other agents so a future
-            # local hit on this key ships a reference, not a payload.
-            self._broadcast_seed([job.key], except_link=link)
 
     # -- failure handling ----------------------------------------------
 
@@ -560,12 +475,10 @@ class ClusterBackend:
                 return
             orphans = [
                 job for job in self._jobs.values()
-                if not job.settled and link in job.links
+                if not job.settled and job.link is link
             ]
             for job in orphans:
-                job.links.discard(link)
-                if job.links:
-                    continue  # a speculative copy still runs elsewhere
+                job.link = None
                 try:
                     survivor = self._dispatch(job)
                     self.redispatched += 1
@@ -630,7 +543,7 @@ class ClusterBackend:
                             offset=round(link.clock_offset, 6),
                             rtt=round(link.clock_rtt, 6),
                         )
-            elif kind in ("result", "result_ref", "error"):
+            elif kind in ("result", "error"):
                 self._on_outcome(link, message)
             # anything else from an agent is advisory; ignore
         self._mark_dead(link, channel=channel)
@@ -660,7 +573,6 @@ class ClusterBackend:
             if self._revive:
                 for link in dead:
                     self._maybe_probe(link, time.monotonic())
-            self._maybe_speculate()
 
     # -- circuit breaker / revival --------------------------------------
 
@@ -739,33 +651,6 @@ class ClusterBackend:
             except ConnectionClosed:
                 self._mark_dead(link)
 
-    def _maybe_speculate(self) -> None:
-        """Duplicate the last few stragglers onto idle agents."""
-        if self._speculate <= 0:
-            return
-        now = time.monotonic()
-        with self._cond:
-            unsettled = [j for j in self._jobs.values() if not j.settled]
-            if not unsettled or len(unsettled) > self._speculate:
-                return
-            for job in sorted(unsettled, key=lambda j: j.started):
-                if now - job.started < self._speculate_after_s:
-                    continue
-                candidates = [
-                    l for l in self._links
-                    if l.alive and l.free_slots > 0 and l not in job.links
-                ]
-                if not candidates:
-                    continue
-                try:
-                    copy = self._dispatch(job, exclude=job.links)
-                    self.speculated += 1
-                    self._spans.mark("speculated", key=job.key,
-                                     agent=copy.name,
-                                     age_s=round(now - job.started, 3))
-                except WorkerStartupError:
-                    return
-
 
 # ----------------------------------------------------------------------
 # Pairing
@@ -826,8 +711,6 @@ __all__ = [
     "DEFAULT_HALF_OPEN_S",
     "DEFAULT_HEARTBEAT_S",
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
-    "DEFAULT_SPECULATE",
-    "DEFAULT_SPECULATE_AFTER_S",
     "AgentLink",
     "ClusterBackend",
     "NoAgentsError",

@@ -6,9 +6,8 @@ is deliberately small:
 
 Coordinator -> agent
     ``hello``     open a session (protocol version + code fingerprint)
-    ``seed``      keys the coordinator's result cache already holds
     ``job``       dispatch one grid point (id + JobSpec payload)
-    ``cancel``    stop one in-flight job (timeout or lost speculation)
+    ``cancel``    stop one in-flight job (per-job timeout)
     ``ping``      heartbeat probe
     ``observe``   advisory: flip fleet span timing for this session
     ``bye``       end the session (agent keeps listening)
@@ -19,10 +18,8 @@ Agent -> coordinator
                      agent monotonic clock for offset estimation)
     ``reject``       handshake refused (version/fingerprint mismatch)
     ``result``       one job's full ``SimulationResult`` payload
-                     (+ agent-side phase timestamps when observed)
-    ``result_ref``   the job hit the agent cache on a *seeded* key — the
-                     coordinator already holds the payload, so only the
-                     key crosses the wire (cache federation)
+                     (+ agent-side phase timestamps when observed;
+                     ``cached`` marks an agent-cache hit)
     ``error``        one job failed (error + traceback + RNG snapshot)
     ``pong``         heartbeat reply (echoes the agent monotonic clock,
                      the coordinator's clock-offset sample source)
@@ -38,7 +35,7 @@ results the coordinator's grid digest could never reproduce.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 #: Bump on any message-vocabulary change; mismatched ends refuse to pair.
 #: v2: fleet observability — ``observe`` advisory, monotonic ``clock``
@@ -82,10 +79,6 @@ def reject(reason: str) -> dict:
     return {"kind": "reject", "reason": reason}
 
 
-def seed(keys: Iterable[str]) -> dict:
-    return {"kind": "seed", "keys": sorted(keys)}
-
-
 def job(job_id: str, key: str, payload: dict) -> dict:
     return {"kind": "job", "id": job_id, "key": key, "job": payload}
 
@@ -99,14 +92,6 @@ def result(job_id: str, key: str, payload: dict, agent: str,
            timing: Optional[dict] = None) -> dict:
     out = {"kind": "result", "id": job_id, "key": key, "result": payload,
            "agent": agent, "wall_s": round(wall_s, 6), "cached": cached}
-    if timing is not None:
-        out["timing"] = timing
-    return out
-
-
-def result_ref(job_id: str, key: str, agent: str,
-               timing: Optional[dict] = None) -> dict:
-    out = {"kind": "result_ref", "id": job_id, "key": key, "agent": agent}
     if timing is not None:
         out["timing"] = timing
     return out
@@ -239,8 +224,6 @@ __all__ = [
     "pong",
     "reject",
     "result",
-    "result_ref",
-    "seed",
     "shutdown",
     "status_reply",
     "status_request",

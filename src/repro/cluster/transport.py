@@ -60,7 +60,7 @@ def _frame_token(message: dict) -> Optional[str]:
 
     Job-carrying messages are keyed on ``kind:key`` — stable across runs
     (cache keys are content-addressed) and distinct per direction of the
-    exchange.  Control traffic (ping/pong/seed/hello/...) has no stable
+    exchange.  Control traffic (ping/pong/hello/observe/...) has no stable
     token and is never injected.
     """
     key = message.get("key")
@@ -111,13 +111,6 @@ class FrameChannel:
 
     def fileno(self) -> int:
         return self._sock.fileno()
-
-    def peername(self) -> str:
-        try:
-            host, port = self._sock.getpeername()[:2]
-            return f"{host}:{port}"
-        except OSError:
-            return "<disconnected>"
 
     # -- frames ---------------------------------------------------------
 

@@ -41,10 +41,6 @@ class ReplacementArea:
         self.stats = ReplacementAreaStats()
 
     @property
-    def base_address(self) -> int:
-        return self._base
-
-    @property
     def capacity_bytes(self) -> int:
         """RA footprint: one bit per data line (0.2 % of memory)."""
         return self._lines // 8

@@ -180,10 +180,6 @@ class Channel:
     def pending_writes(self) -> int:
         return self._n_writes
 
-    @property
-    def write_buffer_full(self) -> bool:
-        return self._n_writes >= self._write_buffer_entries
-
     def _bank_key(self, request: DramRequest) -> Tuple[int, int]:
         decoded = request.decoded
         return (
@@ -200,8 +196,7 @@ class Channel:
         if request.is_write:
             # Overflow beyond the nominal capacity is tolerated (the
             # drain-mode watermark sits below capacity and kicks in
-            # first); `write_buffer_full` lets callers apply soft
-            # backpressure if they want to.
+            # first).
             self._write_by_bank.setdefault(key, []).append(request)
             self._n_writes += 1
             address = request.byte_address

@@ -93,12 +93,6 @@ class DramOrganization:
     def chips_per_subrank(self) -> int:
         return self.chips_per_rank // self.subranks
 
-    @property
-    def full_bus_bytes_per_cycle(self) -> int:
-        """Peak data-bus bytes per memory cycle for the whole rank."""
-        # A 64-byte line moves in t_burst cycles over the full bus.
-        return CACHELINE_BYTES // DramTiming().t_burst
-
     def subrank_of_row(self, row: int) -> int:
         """Sub-rank that stores *compressed* lines of a row.
 

@@ -172,28 +172,6 @@ _FPC_BITS_CACHE: dict = {}
 _FPC_BITS_CACHE_LIMIT = 1 << 16
 
 
-def _fpc_body_bits(word: int) -> int:
-    """Bit width of one non-zero word's body (mirror of ``_encode_word``)."""
-    signed = word - 0x100000000 if word & 0x80000000 else word
-    if -8 <= signed <= 7:
-        return 4
-    if -128 <= signed <= 127:
-        return 8
-    if -32768 <= signed <= 32767:
-        return 16
-    if word & 0xFFFF == 0:
-        return 16
-    high = word >> 16
-    low = word & 0xFFFF
-    high_signed = high - 0x10000 if high & 0x8000 else high
-    low_signed = low - 0x10000 if low & 0x8000 else low
-    if -128 <= high_signed <= 127 and -128 <= low_signed <= 127:
-        return 16
-    if word == (word & 0xFF) * 0x01010101:
-        return 8
-    return 32
-
-
 def fpc_classify(data: bytes, limit: int = None) -> Classified:
     """Exact FPC payload size of *data* as ``(size, None)``, or ``None``.
 
@@ -216,8 +194,10 @@ def fpc_classify(data: bytes, limit: int = None) -> Classified:
             continue
         body = bits_of.get(word)
         if body is None:
-            # _fpc_body_bits inlined: high-entropy workloads miss the
-            # cache on nearly every word, so the call overhead shows.
+            # Body bit width of one non-zero word (mirror of
+            # ``_encode_word``), computed inline rather than in a helper:
+            # high-entropy workloads miss the cache on nearly every word,
+            # so a call's overhead would show.
             signed = word - 0x100000000 if word & 0x80000000 else word
             if -128 <= signed <= 127:
                 body = 4 if -8 <= signed <= 7 else 8

@@ -17,8 +17,6 @@ Exactness notes (enforced by differentials in ``tests/test_kernels.py``):
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from ..compression.bdi import _BASE_DELTA_CONFIGS
@@ -26,18 +24,11 @@ from ..fastpath.classifiers import _BDI_CONFIG_SIZE, _BDI_WIN_ORDER
 from ..util.bitops import CACHELINE_BYTES
 
 __all__ = [
-    "as_line_matrix",
     "bdi_size_matrix",
-    "compressible_mask",
     "fpc_size_matrix",
 ]
 
 _SIGNED_VIEW = {8: "<i8", 4: "<i4", 2: "<i2"}
-
-
-def as_line_matrix(lines: Sequence[bytes]) -> np.ndarray:
-    """Stack 64-byte lines into a C-contiguous (N, 64) uint8 matrix."""
-    return np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(-1, CACHELINE_BYTES)
 
 
 def _base_delta_feasible_rows(
@@ -115,15 +106,3 @@ def fpc_size_matrix(matrix: np.ndarray) -> np.ndarray:
         run_pos = np.where(is_zero, run_pos + 1, 0)
     sizes = (bits + 7) // 8
     return np.where(sizes >= CACHELINE_BYTES, -1, sizes)
-
-
-def compressible_mask(matrix: np.ndarray, target: int) -> np.ndarray:
-    """Per-line "fits in *target* bytes under any algorithm" mask.
-
-    Boolean mirror of ``CompressionEngine.is_compressible`` for engines
-    running exactly the BDI and FPC codecs: the scalar first-fit loop
-    returns True iff either codec's exact size is at most *target*.
-    """
-    bdi = bdi_size_matrix(matrix)
-    fpc = fpc_size_matrix(matrix)
-    return ((bdi >= 0) & (bdi <= target)) | ((fpc >= 0) & (fpc <= target))

@@ -1,4 +1,4 @@
-"""Bulk scrambler keystream generation and XOR.
+"""Bulk scrambler keystream generation.
 
 Columnar mirror of :meth:`repro.scramble.DataScrambler.keystream` for
 full cache lines: the keystream is a pure function of
@@ -14,7 +14,7 @@ import numpy as np
 from ..util.bitops import CACHELINE_BYTES
 from .rng import vec_splitmix64
 
-__all__ = ["keystream_matrix", "xor_lines"]
+__all__ = ["keystream_matrix"]
 
 _ADDRESS_MULT = np.uint64(0x2545F4914F6CDD1D)
 
@@ -35,8 +35,3 @@ def keystream_matrix(seed: int, addresses: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(
         -1, CACHELINE_BYTES
     )
-
-
-def xor_lines(matrix: np.ndarray, keystreams: np.ndarray) -> np.ndarray:
-    """XOR an (N, 64) line matrix with its keystream matrix."""
-    return matrix ^ keystreams

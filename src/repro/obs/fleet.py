@@ -3,7 +3,7 @@
 Where :mod:`repro.obs.tracer` follows one simulated request *inside* a
 run, this module follows one *job attempt* across the orchestration
 layer: how long it sat queued, how long dispatch took, where it ran
-(local worker or remote agent), whether it retried or was speculated,
+(local worker or remote agent), whether it retried or was re-dispatched,
 and how long cache probes and workload-bank attaches cost.  Every event
 lands in a :class:`SpanLog` — an append-only JSONL stream under the run
 directory (``<run-dir>/spans.jsonl``) plus an in-memory copy — and
@@ -22,7 +22,7 @@ Span taxonomy (``phase`` values)::
     agent_run     attempt executing, agent-side clock (mapped)
 
 plus instant marks ``result`` / ``retry`` / ``failed`` / ``cached`` /
-``speculated`` / ``redispatched``, and ``meta`` records carrying
+``redispatched``, and ``meta`` records carrying
 per-agent clock-offset estimates.
 
 **Clock sync.**  Local workers share the coordinator's
@@ -152,7 +152,7 @@ class SpanLog:
              job: str = "", index: Optional[int] = None,
              attempt: Optional[int] = None, agent: Optional[str] = None,
              **args) -> None:
-        """An instant event (result / retry / speculated / ...)."""
+        """An instant event (result / retry / redispatched / ...)."""
         stamp = self._clock() if t is None else t
         self._write({
             "event": "mark",

@@ -33,9 +33,6 @@ from repro.orchestrator.workers import (
     DEFAULT_RECYCLE_AFTER,
     POOL_MODES,
     WorkerStartupError,
-    available_backends,
-    backend_factory,
-    register_backend,
 )
 
 __all__ = [
@@ -53,12 +50,9 @@ __all__ = [
     "RunTelemetry",
     "WorkerStartupError",
     "auto_jobs",
-    "available_backends",
-    "backend_factory",
     "canonical",
     "code_fingerprint",
     "execute_job",
-    "register_backend",
     "rehydrate",
     "stable_key",
 ]

@@ -148,32 +148,6 @@ class RunManifest:
                     statuses[key] = status
         return statuses
 
-    def wall_estimates(self) -> Dict[str, float]:
-        """Latest successful wall clock per job *label*, for LPT ordering.
-
-        Keyed by ``JobSpec.describe()`` labels rather than cache keys:
-        keys fold in the code fingerprint, so they change on every source
-        edit — exactly when a duration estimate is still useful.
-        """
-        estimates: Dict[str, float] = {}
-        if not self._manifest_path.exists():
-            return estimates
-        with open(self._manifest_path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue
-                if entry.get("status") != "done":
-                    continue
-                label, wall = entry.get("job"), entry.get("wall_s")
-                if label and isinstance(wall, (int, float)) and wall > 0:
-                    estimates[label] = float(wall)
-        return estimates
-
     def completed_keys(self) -> Dict[str, str]:
         """Keys a resume can skip, with their terminal status."""
         return {

@@ -19,27 +19,26 @@ payloads over a pipe, the same lossless encoding the result cache and
 run manifests store, so a simulated point, a cached point, a resumed
 point and a pooled point are bit-identical.
 
-Launch order is LPT (longest first) whenever per-job wall-clock
-estimates exist — from the run manifest's prior telemetry or an explicit
-map — so a straggler starts early instead of serialising the tail of an
-otherwise-parallel sweep.  Report order is always input order.
+Jobs launch in input order (retries rejoin the back of the queue), and
+report order is always input order.
 
 ``jobs="auto"`` sizes the worker count from the machine
 (:func:`auto_jobs`): CPU count less one for the parent, capped by
-available memory against a per-job estimate and by the makespan bound
-implied by prior wall-clock telemetry.
+available memory against a per-job estimate and by the number of
+pending jobs.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.obs.crashdump import write_crash_dump
 from repro.obs.fleet import FleetConfig, NULL_SPAN_LOG, SpanLog
@@ -49,9 +48,10 @@ from repro.orchestrator.manifest import RunManifest
 from repro.orchestrator.telemetry import RunTelemetry
 from repro.orchestrator.workers import (
     DEFAULT_RECYCLE_AFTER,
+    POOL_MODES,
+    SpawnBackend,
+    WarmPoolBackend,
     WorkerStartupError,
-    available_backends,
-    backend_factory,
 )
 from repro.sim.simulator import SimulationResult
 
@@ -178,17 +178,14 @@ def estimate_job_memory(specs: List[JobSpec]) -> int:
 
 def auto_jobs(
     pending: Optional[int] = None,
-    estimates: Optional[Mapping[str, float]] = None,
     memory_per_job_bytes: Optional[int] = None,
 ) -> int:
-    """Auto-sized worker count: CPUs, memory and telemetry combined.
+    """Auto-sized worker count from the machine and the queue.
 
     Starts from ``os.cpu_count()`` (less one core for the orchestrator
     parent on bigger machines), then clamps by:
 
     * available memory divided by the per-job estimate;
-    * the LPT makespan bound ``ceil(sum(walls) / max(walls))`` from
-      prior wall-clock telemetry — workers beyond it can only idle;
     * the number of pending jobs.
     """
     cpus = os.cpu_count() or 1
@@ -197,10 +194,6 @@ def auto_jobs(
         available = _available_memory_bytes()
         if available:
             jobs = min(jobs, max(1, available // memory_per_job_bytes))
-    if estimates:
-        walls = [wall for wall in estimates.values() if wall > 0]
-        if walls:
-            jobs = min(jobs, max(1, math.ceil(sum(walls) / max(walls))))
     if pending is not None:
         jobs = min(jobs, max(1, pending))
     return max(1, int(jobs))
@@ -212,7 +205,7 @@ class Orchestrator:
     Args:
         jobs: worker processes to keep busy (1 = serial, still
             isolated), or ``"auto"`` to size from the machine and the
-            run's telemetry (:func:`auto_jobs`).
+            grid (:func:`auto_jobs`).
         cache: optional :class:`ResultCache`; hits skip the worker
             entirely and misses are populated after a successful run.
         timeout_s: per-*attempt* wall-clock limit (None = unlimited).
@@ -223,10 +216,10 @@ class Orchestrator:
             :func:`repro.orchestrator.jobs.execute_job`.  Must be
             importable at module level (it crosses the process boundary).
         include_code: fold :func:`code_fingerprint` into cache keys.
-        pool: a registered backend name — ``"warm"`` (persistent
-            workers + shared workload bank, the default) or ``"spawn"``
-            (fresh process per attempt) — or an already-constructed
-            backend instance (e.g. a
+        pool: a local pool mode from ``POOL_MODES`` — ``"warm"``
+            (persistent workers + shared workload bank, the default) or
+            ``"spawn"`` (fresh process per attempt) — or an
+            already-constructed backend instance (e.g. a
             :class:`repro.cluster.ClusterBackend`), which the
             orchestrator drives through the same launch/poll/retire
             contract and shuts down at the end of the run.
@@ -250,7 +243,6 @@ class Orchestrator:
         backoff_s: float = 0.25,
         runner: Callable[[JobSpec], SimulationResult] = execute_job,
         include_code: bool = True,
-        mp_context: Optional[str] = None,
         pool: Union[str, object] = "warm",
         recycle_after: int = DEFAULT_RECYCLE_AFTER,
         bank_dir=None,
@@ -260,9 +252,9 @@ class Orchestrator:
             raise ValueError('jobs must be >= 1 or "auto"')
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if isinstance(pool, str) and pool not in available_backends():
+        if isinstance(pool, str) and pool not in POOL_MODES:
             raise ValueError(
-                f"pool must be one of {available_backends()} or a backend "
+                f"pool must be one of {POOL_MODES} or a backend "
                 f"instance, got {pool!r}"
             )
         self.jobs = jobs
@@ -279,10 +271,10 @@ class Orchestrator:
         #: to ``REPRO_CHAOS`` at run time; ``None``/unset keeps every
         #: chaos hook inert and the chaos package unimported.
         self.chaos = chaos
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
 
     # ------------------------------------------------------------------
 
@@ -293,8 +285,6 @@ class Orchestrator:
         run_spec: Optional[Dict[str, object]] = None,
         telemetry_path=None,
         progress: bool = False,
-        stream=None,
-        estimates: Optional[Dict[str, float]] = None,
         fleet: Optional[FleetConfig] = None,
     ) -> OrchestrationReport:
         """Execute *specs*, reusing the cache and any prior run state.
@@ -302,15 +292,7 @@ class Orchestrator:
         When *run_dir* is given the run is durable and resumable:
         completed points recorded in its manifest are loaded instead of
         re-simulated, and every terminal event is appended to the
-        manifest as it happens.
-
-        Jobs launch in LPT (longest-processing-time-first) order when
-        duration estimates are available — *estimates* maps
-        ``JobSpec.describe()`` labels to expected wall seconds and is
-        merged over the manifest's prior-run telemetry.  Jobs with no
-        estimate launch first (an unknown job may be the long pole);
-        known jobs follow, longest first.  Results always come back in
-        input order regardless of launch order.
+        manifest as it happens.  Jobs launch and report in input order.
         """
         manifest = RunManifest(run_dir) if run_dir is not None else None
         if manifest is not None and run_spec is not None:
@@ -333,21 +315,11 @@ class Orchestrator:
             if manifest is not None:
                 manifest.chaos = plan
 
-        merged_estimates: Dict[str, float] = (
-            manifest.wall_estimates() if manifest is not None else {}
-        )
-        if estimates:
-            merged_estimates.update(estimates)
         jobs_requested = self.jobs
         jobs = self.jobs
         if jobs == "auto":
             jobs = auto_jobs(
                 pending=len(specs),
-                estimates={
-                    label: merged_estimates[label]
-                    for label in (spec.describe() for spec in specs)
-                    if label in merged_estimates
-                },
                 memory_per_job_bytes=estimate_job_memory(specs),
             )
         self.jobs = jobs  #: resolved count (telemetry reports it)
@@ -357,9 +329,8 @@ class Orchestrator:
             else getattr(self.pool, "name", type(self.pool).__name__)
         )
         telemetry = RunTelemetry(
-            path=telemetry_path, progress=progress, stream=stream,
-            workers=jobs, backend=backend_kind,
-            jobs_requested=jobs_requested,
+            path=telemetry_path, progress=progress, workers=jobs,
+            backend=backend_kind, jobs_requested=jobs_requested,
         )
         keys = [spec.key(include_code=self.include_code) for spec in specs]
         outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
@@ -400,7 +371,6 @@ class Orchestrator:
                 pending.append(_Pending(index=index, attempt=1, ready_at=0.0,
                                         queued_at=time.monotonic()))
 
-        pending = self._lpt_order(pending, specs, merged_estimates)
         fleet_rt.pending = pending
         backend, cleanup = self._make_backend(manifest, plan)
         self._plan = plan
@@ -416,12 +386,6 @@ class Orchestrator:
             # Cluster backends forward the span log to their agents
             # (observe message) and annotate it with clock offsets.
             attach(spans)
-        prepare = getattr(backend, "prepare", None)
-        if prepare is not None:
-            # Cache federation: backends that can pre-seed remote caches
-            # (the cluster coordinator) learn the full grid's keys before
-            # the first dispatch.
-            prepare(keys)
         plane = None
         if fleet.status_port is not None:
             from repro.obs.statusplane import StatusPlane
@@ -435,8 +399,7 @@ class Orchestrator:
             if fleet.announce is not None:
                 fleet.announce(url)
             else:
-                print(f"[fleet] status plane at {url}",
-                      file=stream if stream is not None else sys.stderr)
+                print(f"[fleet] status plane at {url}", file=sys.stderr)
         def add_recovery_notes() -> None:
             if manifest is not None and manifest.recovered_bytes:
                 telemetry.note(
@@ -490,13 +453,37 @@ class Orchestrator:
 
     # ------------------------------------------------------------------
 
+    def _local_backend(self, mode: str, manifest):
+        """A ``spawn`` or ``warm`` pool; returns ``(backend, cleanup)``.
+
+        ``cleanup`` is a zero-argument callable or None.
+        """
+        if mode == "spawn":
+            return SpawnBackend(self._ctx, self.runner,
+                                timing=self.fleet_timing), None
+        bank_root = self.bank_dir
+        cleanup = None
+        if bank_root is None:
+            if manifest is not None:
+                # Durable runs keep their bank: entry keys fold in the
+                # code fingerprint, so resumes reuse still-valid blobs.
+                bank_root = manifest.run_dir / "bank"
+            else:
+                bank_root = tempfile.mkdtemp(prefix="repro-bank-")
+                cleanup = lambda: shutil.rmtree(bank_root, ignore_errors=True)
+        backend = WarmPoolBackend(
+            self._ctx, self.runner, bank_root=bank_root,
+            recycle_after=self.recycle_after, timing=self.fleet_timing,
+        )
+        return backend, cleanup
+
     def _make_backend(self, manifest, plan=None):
         """Build the execution backend; returns ``(backend, cleanup)``."""
         if not isinstance(self.pool, str):
             # A pre-built backend instance (e.g. ClusterBackend).  The
             # orchestrator still owns its shutdown, but not its cleanup.
             return self.pool, None
-        backend, cleanup = backend_factory(self.pool)(self, manifest)
+        backend, cleanup = self._local_backend(self.pool, manifest)
         if plan is not None:
             # Local pools get the worker.* fault sites; cluster backends
             # are armed separately through attach_chaos.
@@ -514,7 +501,7 @@ class Orchestrator:
         themselves are deterministic wherever they run.
         """
         self._degraded = True
-        backend, cleanup = backend_factory("warm")(self, manifest)
+        backend, cleanup = self._local_backend("warm", manifest)
         if self._plan is not None:
             from repro.chaos import ChaosBackend
 
@@ -594,28 +581,6 @@ class Orchestrator:
             }
 
         return provider
-
-    def _lpt_order(self, pending, specs, estimates: Mapping[str, float]):
-        """Longest-estimated-first launch order over the pending queue.
-
-        With parallel workers, launching the long poles first bounds the
-        makespan (classic LPT scheduling); launching them last can leave
-        every worker but one idle behind a straggler.  *estimates* maps
-        ``JobSpec.describe()`` labels to wall seconds (:meth:`run` merges
-        the manifest's prior-run telemetry with the caller's map).  The
-        sort is stable: unestimated jobs keep input order at the front,
-        estimated ones follow longest-first.
-        """
-        if len(pending) < 2 or not estimates:
-            return pending
-        unknown = float("inf")
-        return deque(sorted(
-            pending,
-            key=lambda item: (
-                -estimates.get(specs[item.index].describe(), unknown),
-                item.index,
-            ),
-        ))
 
     def _reuse(self, spec, key, completed_before, manifest):
         """A cached/resumed outcome for this job, or None to run it."""

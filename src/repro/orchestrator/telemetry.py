@@ -22,7 +22,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TextIO
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -66,7 +66,6 @@ class RunTelemetry:
         self,
         path=None,
         progress: bool = False,
-        stream: Optional[TextIO] = None,
         workers: int = 1,
         clock=time.monotonic,
         backend: Optional[str] = None,
@@ -74,7 +73,7 @@ class RunTelemetry:
     ) -> None:
         self._path = path
         self._progress = progress
-        self._stream = stream if stream is not None else sys.stderr
+        self._stream = sys.stderr
         self._workers = workers
         self._backend = backend
         #: The caller's pre-resolution worker request (e.g. ``"auto"``);

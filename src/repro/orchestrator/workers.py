@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro import fastpath
 from repro.obs.crashdump import rng_snapshot
@@ -375,80 +375,10 @@ def _join_or_kill(process, grace_s: float = 5.0) -> None:
         process.join()
 
 
-# ----------------------------------------------------------------------
-# Backend registry
-# ----------------------------------------------------------------------
-#
-# The orchestrator resolves its ``pool`` argument against this registry,
-# so new execution backends (e.g. the cluster coordinator) plug in
-# without the scheduling loop knowing them by name.  A factory takes
-# ``(orchestrator, manifest)`` and returns ``(backend, cleanup)`` where
-# ``cleanup`` is a zero-argument callable or None.
-
-_BACKEND_FACTORIES: Dict[str, Callable] = {}
-
-
-def register_backend(name: str, factory: Callable) -> None:
-    """Register a named execution-backend factory."""
-    _BACKEND_FACTORIES[name] = factory
-
-
-def backend_factory(name: str) -> Callable:
-    try:
-        return _BACKEND_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown pool backend {name!r}; "
-            f"registered: {available_backends()}"
-        ) from None
-
-
-def available_backends():
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-def _spawn_factory(orchestrator, manifest):
-    backend = SpawnBackend(
-        orchestrator._ctx, orchestrator.runner,
-        timing=bool(getattr(orchestrator, "fleet_timing", False)),
-    )
-    return backend, None
-
-
-def _warm_factory(orchestrator, manifest):
-    bank_root = orchestrator.bank_dir
-    cleanup = None
-    if bank_root is None:
-        if manifest is not None:
-            # Durable runs keep their bank: entry keys fold in the
-            # code fingerprint, so resumes reuse still-valid blobs.
-            bank_root = manifest.run_dir / "bank"
-        else:
-            import shutil
-            import tempfile
-
-            bank_root = tempfile.mkdtemp(prefix="repro-bank-")
-            cleanup = lambda: shutil.rmtree(bank_root, ignore_errors=True)
-    backend = WarmPoolBackend(
-        orchestrator._ctx, orchestrator.runner, bank_root=bank_root,
-        recycle_after=orchestrator.recycle_after,
-        timing=bool(getattr(orchestrator, "fleet_timing", False)),
-    )
-    return backend, cleanup
-
-
-register_backend("spawn", _spawn_factory)
-register_backend("warm", _warm_factory)
-
-
 __all__ = [
     "DEFAULT_RECYCLE_AFTER",
     "POOL_MODES",
     "SpawnBackend",
     "WarmPoolBackend",
     "WorkerStartupError",
-    "available_backends",
-    "backend_factory",
-    "register_backend",
 ]

@@ -196,10 +196,6 @@ class DataModel:
             return self._unit(page, 0xC1A5) < fraction
         return self._unit(line_address, 0x11FE) < fraction
 
-    def page_is_pure(self, page: int) -> bool:
-        """True when the page's lines all share one compressibility class."""
-        return self._unit(page, 0xBA5E) < self._profile.page_uniformity
-
     # ------------------------------------------------------------------
     # Content generation
     # ------------------------------------------------------------------

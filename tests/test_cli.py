@@ -94,6 +94,30 @@ class TestCommands:
         assert target.exists()
         assert "STREAM" in target.read_text()
 
+    def test_resume_keeps_the_runs_obs_config(self, tmp_path, capsys):
+        """--resume rebuilds --obs from run.json: no point re-simulates."""
+        import json
+
+        run_dir = tmp_path / "run"
+        code = main([
+            "orchestrate", "--benchmarks", "STREAM",
+            "--systems", "baseline", "ideal",
+            "--cores", "2", "--records", "200", "--warmup", "0",
+            "--scale-factor", "64", "--jobs", "1", "--pool", "spawn",
+            "--run-dir", str(run_dir), "--obs", "--metrics", "ipc",
+        ])
+        assert code == 0
+        assert main(["orchestrate", "--resume", str(run_dir),
+                     "--jobs", "1", "--pool", "spawn"]) == 0
+        summaries = [
+            record for record in map(
+                json.loads,
+                (run_dir / "telemetry.jsonl").read_text().splitlines(),
+            )
+            if record.get("event") == "summary"
+        ]
+        assert (summaries[-1]["done"], summaries[-1]["cached"]) == (0, 2)
+
 
 class TestMetricsCatalog:
     """`repro metrics list` and `repro metrics --plot` (satellites of

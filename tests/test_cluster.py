@@ -1,4 +1,4 @@
-"""Tests for the cluster subsystem: transport, handshake, federation,
+"""Tests for the cluster subsystem: transport, handshake, agent caches,
 scheduling, and end-to-end digest equality against local execution.
 
 The contract under test is the ISSUE's acceptance bar: a sweep run over
@@ -13,20 +13,14 @@ import socket
 import struct
 import threading
 import time
+import types
 import zlib
 
 import pytest
 
 from repro.cluster import connect_cluster, protocol
-from repro.cluster.agent import AgentServer, parse_listen
+from repro.cluster.agent import AgentCache, AgentServer, parse_listen
 from repro.cluster.coordinator import AgentLink, ClusterBackend
-from repro.cluster.federation import (
-    HIT_FULL,
-    HIT_SEEDED,
-    MISS,
-    AgentCache,
-    known_keys,
-)
 from repro.cluster.ssh import parse_host
 from repro.cluster.transport import (
     ChecksumError,
@@ -272,48 +266,19 @@ class TestHandshake:
 
 
 # ----------------------------------------------------------------------
-# Cache federation
+# Agent-local result caches
 # ----------------------------------------------------------------------
 
 class TestFederation:
     def test_disabled_cache_always_misses(self):
         agent_cache = AgentCache(None)
-        assert not agent_cache.enabled
-        assert agent_cache.lookup("anything") == (MISS, None)
+        assert agent_cache.lookup("anything") is None
         agent_cache.store("anything", _synthetic_result())  # no-op, no raise
 
-    def test_hit_full_vs_hit_seeded(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = _spec().key()
-        cache.put(key, _synthetic_result())
-        agent_cache = AgentCache(cache)
-
-        status, result = agent_cache.lookup(key)
-        assert status == HIT_FULL
-        assert result is not None
-
-        agent_cache.seed([key])
-        status, result = agent_cache.lookup(key)
-        assert status == HIT_SEEDED  # coordinator holds it; ship the key
-
-        assert agent_cache.lookup("absent-key") == (MISS, None)
-        assert agent_cache.hits == 2
-
-    def test_known_keys_is_the_cached_subset(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        held = _spec(seed=1).key()
-        cold = _spec(seed=2).key()
-        cache.put(held, _synthetic_result())
-        assert known_keys(cache, [held, cold]) == [held]
-        assert known_keys(None, [held, cold]) == []
-
     def test_agent_session_answers_from_cache(self, tmp_path):
-        """Seeded keys return a result_ref; unseeded hits ship the payload."""
-        seeded_key = _spec(seed=1).key()
-        full_key = _spec(seed=2).key()
-        shared = ResultCache(tmp_path)
-        shared.put(seeded_key, _synthetic_result(1.0))
-        shared.put(full_key, _synthetic_result(2.0))
+        """A local hit ships the full result, marked cached."""
+        key = _spec(seed=2).key()
+        ResultCache(tmp_path).put(key, _synthetic_result(2.0))
 
         server = AgentServer(once=True, cache_dir=tmp_path)
         agent_side, coordinator_side = _channel_pair()
@@ -324,25 +289,17 @@ class TestFederation:
         coordinator_side.send(protocol.hello(code=code_fingerprint()))
         assert coordinator_side.recv(timeout=5.0)["kind"] == "welcome"
 
-        coordinator_side.send(protocol.seed([seeded_key]))
-        coordinator_side.send(protocol.job(
-            "j1", seeded_key, _spec(seed=1).to_dict()
-        ))
-        reply = coordinator_side.recv(timeout=10.0)
-        assert reply["kind"] == "result_ref"
-        assert reply["key"] == seeded_key
-
-        coordinator_side.send(protocol.job(
-            "j2", full_key, _spec(seed=2).to_dict()
-        ))
+        coordinator_side.send(protocol.job("j1", key, _spec(seed=2).to_dict()))
         reply = coordinator_side.recv(timeout=10.0)
         assert reply["kind"] == "result"
+        assert (reply["id"], reply["key"]) == ("j1", key)
         assert reply["cached"] is True
         assert reply["result"]["runtime_core_cycles"] == 2.0
 
         coordinator_side.send(protocol.bye())
         thread.join(timeout=10.0)
-        assert server.stats.cache_hits == 2
+        assert not thread.is_alive()
+        assert server.stats.cache_hits == 1
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +358,6 @@ class TestCoordinatorScheduling:
     def _backend(self, links, **kwargs):
         kwargs.setdefault("heartbeat_s", 0.05)
         kwargs.setdefault("heartbeat_timeout_s", 60.0)
-        kwargs.setdefault("speculate", 0)
         return ClusterBackend(links, **kwargs)
 
     def test_dead_agent_jobs_redispatch_to_survivors(self):
@@ -414,7 +370,7 @@ class TestCoordinatorScheduling:
             assert len(link_a.channel.sent_of("job")) == 1
             assert len(link_b.channel.sent_of("job")) == 1
 
-            orphan = (job1 if link_a in job1.links else job2)
+            orphan = job1 if job1.link is link_a else job2
             link_a.channel.hang_up()
             assert _wait_until(lambda: backend.redispatched == 1)
             assert not link_a.alive
@@ -451,62 +407,60 @@ class TestCoordinatorScheduling:
         finally:
             backend.shutdown()
 
-    def test_tail_jobs_speculate_and_loser_is_cancelled(self):
-        link_a, link_b = _fake_link("a"), _fake_link("b")
-        backend = self._backend(
-            [link_a, link_b], speculate=2, speculate_after_s=0.0
-        )
+    def test_timeout_kill_cancels_the_job_on_its_agent(self):
+        link_a = _fake_link("a")
+        backend = self._backend([link_a])
         try:
-            job, _, _ = backend.launch(_spec(seed=1).to_dict())
-            # The tail is 1 unsettled job; the idle agent gets a copy.
-            assert _wait_until(lambda: backend.speculated >= 1)
-            first, second = (
-                (link_a, link_b) if link_a in job.links else (link_b, link_a)
-            )
-            assert len(job.links) == 2
-            second.channel.feed(protocol.result(
+            job, conn, _ = backend.launch(_spec(seed=1).to_dict())
+            backend.kill(types.SimpleNamespace(conn=conn))
+            assert [m["id"] for m in link_a.channel.sent_of("cancel")] == [
+                job.job_id
+            ]
+            assert not link_a.inflight
+            # A result that raced the cancel is dropped, not delivered.
+            link_a.channel.feed(protocol.result(
                 job.job_id, job.key, _synthetic_result().to_dict(),
-                agent=second.name, wall_s=0.01, cached=False,
+                agent="a", wall_s=0.01, cached=False,
             ))
-            assert _wait_until(job.poll)
-            assert job.recv()["agent"] == second.name
-            # The slower copy was cancelled, not left running.
-            assert _wait_until(
-                lambda: any(m["id"] == job.job_id
-                            for m in first.channel.sent_of("cancel"))
-            )
+            assert _wait_until(lambda: link_a.served == 1)
+            assert not job.poll()
         finally:
             backend.shutdown()
 
-    def test_result_ref_rehydrates_from_coordinator_cache(self, tmp_path):
+    def test_cached_keys_are_never_dispatched(self, tmp_path):
+        """The orchestrator answers its cache's keys before any dispatch,
+        so an agent only ever receives keys the coordinator lacks."""
+
+        class _AnsweringChannel(_FakeChannel):
+            def send(self, message):
+                super().send(message)
+                if message.get("kind") == "job":
+                    self.feed(protocol.result(
+                        message["id"], message["key"],
+                        _synthetic_result(3.0).to_dict(),
+                        agent="a", wall_s=0.0, cached=False,
+                    ))
+
+        held, cold = _spec(seed=1), _spec(seed=2)
         cache = ResultCache(tmp_path)
-        link_a = _fake_link("a")
-        backend = self._backend([link_a], cache=cache)
-        try:
-            spec = _spec(seed=1)
-            cache.put(spec.key(), _synthetic_result(7.0))
-            backend.prepare([spec.key()])  # the orchestrator pre-run hook
-            assert [m["keys"] for m in link_a.channel.sent_of("seed")] == [
-                [spec.key()]
-            ]
-            job, _, _ = backend.launch(spec.to_dict())
-            link_a.channel.feed(protocol.result_ref(
-                job.job_id, spec.key(), agent="a"
-            ))
-            assert _wait_until(job.poll)
-            payload = job.recv()
-            assert payload["status"] == "ok"
-            assert payload["cached"] is True
-            assert payload["result"]["runtime_core_cycles"] == 7.0
-        finally:
-            backend.shutdown()
+        cache.put(held.key(), _synthetic_result(7.0))
+        link = AgentLink(channel=_AnsweringChannel(), name="a", slots=1,
+                         address="fake:a")
+        report = Orchestrator(
+            jobs=1, cache=cache, pool=self._backend([link]), retries=0,
+        ).run([held, cold])
+
+        assert report.ok
+        assert [m["key"] for m in link.channel.sent_of("job")] == [cold.key()]
+        assert [o.source for o in report.outcomes] == ["cache", "run"]
+        assert report.outcomes[0].result.runtime_core_cycles == 7.0
 
     def test_corrupt_frame_quarantines_and_redispatches(self):
         link_a, link_b = _fake_link("a"), _fake_link("b")
         backend = self._backend([link_a, link_b])
         try:
             job, _, _ = backend.launch(_spec(seed=1).to_dict())
-            first = next(iter(job.links))
+            first = job.link
             survivor = link_b if first is link_a else link_a
             first.channel.feed(ChecksumError("bit flip in flight"))
             assert _wait_until(lambda: first.quarantined)

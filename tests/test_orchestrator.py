@@ -9,7 +9,6 @@ result without ever spawning a worker.
 
 import json
 import time
-from collections import deque
 
 import pytest
 
@@ -264,68 +263,3 @@ class TestSweepIntegration:
 
     def test_default_runner_is_execute_job(self):
         assert Orchestrator().runner is execute_job
-
-
-class TestLptOrdering:
-    """Longest-estimated-first launch order (report order unchanged)."""
-
-    def _pending(self, count):
-        from repro.orchestrator.pool import _Pending
-
-        return deque(_Pending(index=i, attempt=1, ready_at=0.0)
-                     for i in range(count))
-
-    def test_estimates_sort_longest_first(self):
-        specs = [_spec(seed=s) for s in (1, 2, 3)]
-        estimates = {specs[0].describe(): 1.0, specs[1].describe(): 5.0,
-                     specs[2].describe(): 3.0}
-        ordered = Orchestrator()._lpt_order(self._pending(3), specs, estimates)
-        assert [item.index for item in ordered] == [1, 2, 0]
-
-    def test_unestimated_jobs_launch_first_in_input_order(self):
-        specs = [_spec(seed=s) for s in (1, 2, 3, 4)]
-        estimates = {specs[0].describe(): 2.0, specs[3].describe(): 9.0}
-        ordered = Orchestrator()._lpt_order(self._pending(4), specs, estimates)
-        assert [item.index for item in ordered] == [1, 2, 3, 0]
-
-    def test_no_estimates_keeps_input_order(self):
-        specs = [_spec(seed=s) for s in (1, 2)]
-        ordered = Orchestrator()._lpt_order(self._pending(2), specs, {})
-        assert [item.index for item in ordered] == [0, 1]
-
-    def test_manifest_telemetry_seeds_estimates(self, tmp_path):
-        manifest = RunManifest(tmp_path / "run")
-        manifest.record({"key": "a", "job": "one", "status": "done",
-                         "wall_s": 1.5})
-        manifest.record({"key": "b", "job": "two", "status": "failed",
-                         "wall_s": 9.0})
-        manifest.record({"key": "a", "job": "one", "status": "done",
-                         "wall_s": 2.5})  # latest run wins
-        assert manifest.wall_estimates() == {"one": 2.5}
-
-    def test_serial_run_launches_longest_known_job_first(self, tmp_path):
-        specs = [_spec(benchmark=b) for b in ("STREAM", "RAND", "mcf")]
-        seed_manifest = RunManifest(tmp_path / "run")
-        for spec, wall in zip(specs, (1.0, 8.0, 4.0)):
-            seed_manifest.record({"key": f"old-{spec.benchmark}",
-                                  "job": spec.describe(),
-                                  "status": "done", "wall_s": wall})
-        report = Orchestrator(jobs=1, runner=fake_run).run(
-            specs, run_dir=tmp_path / "run"
-        )
-        assert report.ok
-        # Report order is input order...
-        assert [o.spec.benchmark for o in report.outcomes] == \
-            ["STREAM", "RAND", "mcf"]
-        # ...but the serial pool finalises in launch order: LPT.
-        done = [entry["job"] for entry
-                in _manifest_entries(tmp_path / "run")
-                if entry["status"] == "done"
-                and not entry["key"].startswith("old-")]
-        assert done == [specs[1].describe(), specs[2].describe(),
-                        specs[0].describe()]
-
-
-def _manifest_entries(run_dir):
-    lines = (run_dir / "manifest.jsonl").read_text().splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
