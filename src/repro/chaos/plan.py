@@ -63,8 +63,8 @@ SITES = (
 
 #: Named rate profiles.  ``default`` exercises every recovery path a few
 #: times over a pinned 36-point sweep without stalling CI: worker kills
-#: retry, transport faults quarantine-and-revive an agent, cache/manifest
-#: tears take the self-healing read paths.  ``agent.hang`` stays 0 by
+#: retry, transport faults end an agent's link and requeue its jobs,
+#: cache/manifest tears take the self-healing read paths.  ``agent.hang`` stays 0 by
 #: default because recovering from a hang costs a full heartbeat timeout;
 #: tests opt in explicitly with a short-heartbeat backend.
 PROFILES: Dict[str, Dict[str, float]] = {

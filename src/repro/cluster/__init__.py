@@ -10,8 +10,9 @@ The cluster subsystem turns N machines into one orchestrator pool:
   the same local warm pool single-machine sweeps use, and answering
   keys its optional local result cache holds without simulating;
 * :mod:`repro.cluster.coordinator` — :class:`ClusterBackend`, a drop-in
-  execution backend for ``Orchestrator.run`` with heartbeats,
-  dead-agent re-dispatch and a reconnect circuit breaker;
+  execution backend for ``Orchestrator.run`` with heartbeats and
+  dead-agent detection that hands a lost agent's jobs back to the
+  orchestrator's requeue path;
 * :mod:`repro.cluster.ssh` — loopback and SSH agent launchers.
 
 See docs/CLUSTER.md for the protocol and failure model.
@@ -19,7 +20,7 @@ See docs/CLUSTER.md for the protocol and failure model.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.cluster.coordinator import (
     AgentLink,
@@ -40,20 +41,18 @@ def connect_cluster(
     hosts: Sequence[str],
     agent_jobs: int = 1,
     agent_pool: str = "warm",
-    agent_cache_dir=None,
     **backend_kwargs,
 ) -> ClusterBackend:
     """Resolve, launch and pair every host; return the live backend.
 
     *hosts* entries follow :func:`repro.cluster.ssh.parse_host` grammar
     (``HOST:PORT``, ``local``, ``ssh://user@host``).  *agent_jobs* /
-    *agent_pool* / *agent_cache_dir* configure agents this call launches
-    (already-running agents keep their own settings); remaining keyword
-    arguments go to :class:`ClusterBackend`.
+    *agent_pool* configure agents this call launches (already-running
+    agents keep their own settings); remaining keyword arguments go to
+    :class:`ClusterBackend`.
     """
     resolved = resolve_hosts(
         parse_hosts(hosts), jobs=agent_jobs, pool=agent_pool,
-        cache_dir=agent_cache_dir,
     )
     links = []
     try:
@@ -70,49 +69,6 @@ def connect_cluster(
     return ClusterBackend(links, **backend_kwargs)
 
 
-def run_cluster_sweep(
-    benchmarks,
-    systems,
-    hosts: Sequence[str],
-    seeds=(2018,),
-    scale=None,
-    agent_jobs: int = 1,
-    cache_dir=None,
-    run_dir=None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    progress: bool = False,
-    obs=None,
-    chaos=None,
-    **cluster_kwargs,
-):
-    """``run_sweep`` over a cluster of agents instead of local workers.
-
-    Mirrors :func:`repro.sim.sweep.run_sweep` — same grid semantics,
-    manifests, telemetry and CSV — with execution dispatched to *hosts*.
-    The worker count is the cluster's total slot count.
-    """
-    from repro.sim.runner import FAST_SCALE
-    from repro.sim.sweep import run_sweep
-
-    backend = connect_cluster(hosts, agent_jobs=agent_jobs, **cluster_kwargs)
-    return run_sweep(
-        benchmarks=benchmarks,
-        systems=systems,
-        seeds=seeds,
-        scale=scale if scale is not None else FAST_SCALE,
-        jobs=max(1, backend.total_slots()),
-        cache_dir=cache_dir,
-        run_dir=run_dir,
-        timeout_s=timeout_s,
-        retries=retries,
-        progress=progress,
-        obs=obs,
-        chaos=chaos,
-        pool=backend,
-    )
-
-
 __all__ = [
     "PROTOCOL_VERSION",
     "AgentLink",
@@ -126,5 +82,4 @@ __all__ = [
     "pair_agent",
     "parse_hosts",
     "resolve_hosts",
-    "run_cluster_sweep",
 ]

@@ -32,7 +32,7 @@ import shutil
 import socket as socket_module
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from multiprocessing import util as mp_util
 from typing import Dict, Optional
@@ -80,32 +80,6 @@ class _LocalJob:
     probe: tuple = ()      #: (t0, t1) around the agent-cache lookup
 
 
-class AgentCache:
-    """The agent's local result cache, as one coordinator session sees it.
-
-    A dispatched key the cache holds is answered without simulating, and
-    every freshly simulated result is stored here as well as shipped to
-    the coordinator, whose orchestrator stores it in its own cache.
-    """
-
-    def __init__(self, cache: Optional[ResultCache]) -> None:
-        self.cache = cache
-
-    def lookup(self, key: str) -> Optional[SimulationResult]:
-        """The locally cached result for *key*, or None."""
-        return self.cache.get(key) if self.cache is not None else None
-
-    def store(self, key: str, result: SimulationResult,
-              label: str = "") -> None:
-        """Record a freshly simulated result (best-effort, never fatal)."""
-        if self.cache is None:
-            return
-        try:
-            self.cache.put(key, result, meta={"job": label, "via": "agent"})
-        except OSError:
-            pass  # a full disk must not fail the job that just succeeded
-
-
 @dataclass
 class AgentStats:
     """Lifetime counters reported by ``repro cluster status``."""
@@ -129,7 +103,6 @@ class AgentServer:
         cache_dir=None,
         name: Optional[str] = None,
         once: bool = False,
-        session_timeout_s: float = DEFAULT_SESSION_TIMEOUT_S,
         announce=None,
     ) -> None:
         if jobs < 1:
@@ -139,10 +112,12 @@ class AgentServer:
         self.jobs = jobs
         self.pool = pool
         self.recycle_after = recycle_after
+        #: Optional local result cache: a dispatched key it holds is
+        #: answered without simulating, and every freshly simulated
+        #: result is stored here as well as shipped to the coordinator.
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.name = name
         self.once = once
-        self.session_timeout_s = session_timeout_s
         self.stats = AgentStats()
         self._announce = announce if announce is not None else print
         self._listener = None
@@ -241,8 +216,7 @@ class AgentServer:
             return
         channel.send(protocol.welcome(
             code=code_fingerprint(), name=self.name, slots=self.jobs,
-            pid=os.getpid(), has_cache=self.cache is not None,
-            clock=time.monotonic(),
+            pid=os.getpid(), clock=time.monotonic(),
         ))
         self.stats.sessions += 1
         # One line per accepted session recording the effective
@@ -283,7 +257,6 @@ class AgentServer:
             # clean: chaos tests recovery, not pairing.
             channel.chaos = self._chaos
             backend = ChaosBackend(backend, self._chaos)
-        agent_cache = AgentCache(self.cache)
         inflight: Dict[str, _LocalJob] = {}
         last_heard = time.monotonic()
         try:
@@ -298,20 +271,19 @@ class AgentServer:
                     except ConnectionClosed:
                         break  # coordinator is gone; recycle the session
                     if not self._dispatch(message, channel, backend,
-                                          agent_cache, inflight):
+                                          inflight):
                         break
                 for job in list(inflight.values()):
                     if job.conn in ready:
-                        self._complete(job, channel, backend, agent_cache,
-                                       inflight)
+                        self._complete(job, channel, backend, inflight)
                 if (not inflight
-                        and now - last_heard > self.session_timeout_s):
+                        and now - last_heard > DEFAULT_SESSION_TIMEOUT_S):
                     break  # silent coordinator: assume it died
         except ConnectionClosed:
             pass
         finally:
             # Whatever ended the session, no local worker may survive it
-            # orphaned — the coordinator re-dispatches in-flight work.
+            # orphaned — the coordinator requeues in-flight work.
             try:
                 backend.abort(list(inflight.values()))
             except Exception:
@@ -322,8 +294,7 @@ class AgentServer:
 
     # -- message handling ----------------------------------------------
 
-    def _dispatch(self, message: dict, channel, backend, agent_cache,
-                  inflight) -> bool:
+    def _dispatch(self, message: dict, channel, backend, inflight) -> bool:
         """Handle one coordinator message; False ends the session."""
         kind = message.get("kind")
         if kind == "ping":
@@ -349,9 +320,9 @@ class AgentServer:
                     "agent.hang", str(message.get("key", ""))):
                 # A wedged agent: go silent (no pong, no result) long
                 # enough for the coordinator's heartbeat to declare us
-                # dead and re-dispatch our in-flight work.
+                # dead and requeue our in-flight work.
                 time.sleep(CHAOS_HANG_S)
-            self._start_job(message, channel, backend, agent_cache, inflight)
+            self._start_job(message, channel, backend, inflight)
             return True
         if kind == "bye":
             return False
@@ -363,15 +334,15 @@ class AgentServer:
         # handshake already guarantees the *core* vocabulary matches).
         return True
 
-    def _start_job(self, message, channel, backend, agent_cache,
-                   inflight) -> None:
+    def _start_job(self, message, channel, backend, inflight) -> None:
         job_id = message["id"]
         key = message["key"]
         payload = message["job"]
         observed = bool(getattr(backend, "timing", False))
         received = time.monotonic() if observed else 0.0
         probe_t0 = time.monotonic() if observed else 0.0
-        cached_result = agent_cache.lookup(key)
+        cached_result = (self.cache.get(key) if self.cache is not None
+                         else None)
         probe = (probe_t0, time.monotonic()) if observed else ()
         if cached_result is not None:
             self.stats.served += 1
@@ -398,8 +369,7 @@ class AgentServer:
             received=received, probe=probe,
         )
 
-    def _complete(self, job: _LocalJob, channel, backend, agent_cache,
-                  inflight) -> None:
+    def _complete(self, job: _LocalJob, channel, backend, inflight) -> None:
         """One local worker's pipe is readable: ship its outcome."""
         payload = None
         try:
@@ -439,11 +409,12 @@ class AgentServer:
         if payload.get("status") == "ok":
             backend.retire_ok(job)
             self.stats.served += 1
-            agent_cache.store(
-                job.key,
-                SimulationResult.from_dict(payload["result"]),
-                label=job.label,
-            )
+            if self.cache is not None:
+                # Best-effort: ``put`` swallows a full disk.
+                self.cache.put(
+                    job.key, SimulationResult.from_dict(payload["result"]),
+                    meta={"job": job.label, "via": "agent"},
+                )
             channel.send(protocol.result(
                 job.job_id, job.key, payload["result"], agent=self.name,
                 wall_s=wall, cached=False, timing=timing,
@@ -472,7 +443,6 @@ def parse_listen(text: str):
 __all__ = [
     "CHAOS_HANG_S",
     "DEFAULT_SESSION_TIMEOUT_S",
-    "AgentCache",
     "AgentServer",
     "AgentStats",
     "parse_listen",

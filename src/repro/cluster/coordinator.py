@@ -7,24 +7,20 @@ manifests, telemetry, result caching, crash dumps, ``--resume``,
 per-job timeouts and retries all behave identically whether a job ran
 in a local process or on a machine across the network.
 
-What the backend adds on top of the local ones:
+What the backend adds on top of the local ones is dead-agent
+detection: a reader thread per agent notices EOF or a corrupt frame
+(and a heartbeat thread notices silence).  Every unsettled job of the
+dead agent settles with a ``requeue`` marker, so the orchestrator
+re-pends it without spending a retry; its next launch goes to a live
+agent, or degrades the run to the local warm pool when none is left.
 
-* **dead-agent re-dispatch** — a reader thread per agent notices EOF
-  (and a heartbeat thread notices silence); every unsettled job that
-  ran on the dead agent is transparently re-sent to a surviving agent.
-  The orchestrator never sees the failure, so the job's retry budget
-  is spent on *job* failures, not transport ones.  Only when no agent
-  survives does the job settle as an error.
-* **a circuit breaker** — dead agents are re-dialed under capped
-  exponential backoff; repeated strikes or a corrupt frame quarantine
-  the agent to half-open probes only.
-
-Each job runs as exactly one copy at a time, on one agent.
+Each job runs as exactly one copy at a time, on one agent.  A dead
+agent serves no more jobs in this run; an agent we dialed keeps
+listening and pairs again on the next run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 import time
@@ -38,7 +34,6 @@ from repro.obs.fleet import (
     map_remote_time,
 )
 from repro.cluster.transport import (
-    ChecksumError,
     ConnectionClosed,
     FrameChannel,
     TransportError,
@@ -54,23 +49,12 @@ DEFAULT_HEARTBEAT_S = 2.0
 #: hard-killed process closes its socket and is caught by EOF long
 #: before this fires — the timeout only catches hung hosts/partitions.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 15.0
-#: Reconnect strikes before a dead agent's circuit breaker opens.
-DEFAULT_BREAKER_THRESHOLD = 3
-#: Base of the exponential reconnect backoff (doubles per strike, plus
-#: deterministic jitter so a fleet of coordinators never thunders).
-DEFAULT_BACKOFF_BASE_S = 0.5
-#: Reconnect backoff ceiling before the breaker opens.
-DEFAULT_BACKOFF_CAP_S = 30.0
-#: Probe cadence for a quarantined (open-breaker) agent: the periodic
-#: half-open attempt that lets a recovered host rejoin the fleet.
-DEFAULT_HALF_OPEN_S = 5.0
-#: Dial timeout for one revival probe (must stay well under the
-#: heartbeat loop's responsibilities).
-REVIVE_DIAL_TIMEOUT_S = 2.0
+#: Seconds to wait for an agent's dial and its ``welcome``.
+PAIR_TIMEOUT_S = 15.0
 
 
 class NoAgentsError(WorkerStartupError):
-    """Every cluster agent is dead or quarantined.
+    """Every cluster agent is dead.
 
     The orchestrator catches this to degrade gracefully onto the local
     warm pool instead of aborting the sweep.
@@ -79,17 +63,6 @@ class NoAgentsError(WorkerStartupError):
     #: Consulted by the orchestrator's launch loop without importing
     #: this module (the cluster plane stays off the local hot path).
     degradable = True
-
-
-def _backoff_jitter(name: str, strikes: int) -> float:
-    """Deterministic jitter factor in [0, 0.25) for one reconnect wait.
-
-    Hash-derived rather than drawn from ``random`` so two runs of the
-    same cluster schedule their probes identically — the same
-    determinism discipline as :mod:`repro.chaos`.
-    """
-    digest = hashlib.sha256(f"{name}:{strikes}".encode("utf-8")).digest()
-    return (int.from_bytes(digest[:4], "big") % 1000) / 4000.0
 
 
 class AgentLink:
@@ -108,12 +81,6 @@ class AgentLink:
         self.inflight: set = set()
         self.served = 0
         self.reader: Optional[threading.Thread] = None
-        #: Circuit-breaker state: consecutive failed reconnect probes,
-        #: whether the breaker is open, and the next probe's monotonic
-        #: deadline (None = not scheduled yet).
-        self.strikes = 0
-        self.quarantined = False
-        self.next_probe: Optional[float] = None
         #: Agent monotonic-clock offset estimate (``local = remote -
         #: offset``) and the RTT of the sample that produced it.  Seeded
         #: by the handshake round trip, refined by every ping/pong.
@@ -184,38 +151,26 @@ class ClusterBackend:
     def __init__(
         self,
         links: Sequence[AgentLink],
-        include_code: bool = True,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-        backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
-        half_open_s: float = DEFAULT_HALF_OPEN_S,
-        revive: bool = True,
     ) -> None:
         if not links:
             raise WorkerStartupError("a cluster needs at least one agent")
         self._links = list(links)
-        self._include_code = include_code
         self._heartbeat_s = heartbeat_s
         self._heartbeat_timeout_s = heartbeat_timeout_s
-        self._breaker_threshold = breaker_threshold
-        self._backoff_base_s = backoff_base_s
-        self._backoff_cap_s = backoff_cap_s
-        self._half_open_s = half_open_s
-        self._revive = revive
         self._cond = threading.Condition(threading.RLock())
         self._jobs: Dict[str, _ClusterJob] = {}
         self._counter = itertools.count(1)
+        #: Dispatches per job key: the ``agent.drop`` token's counter.
+        self._dispatches: Dict[str, int] = {}
         self._ping_seq = itertools.count(1)
         self._ping_sent: Dict[int, float] = {}  # seq -> send monotonic
         self._spans = NULL_SPAN_LOG
         self._chaos = None
         self._closing = False
-        self.redispatched = 0  #: jobs re-sent after an agent died
-        self.quarantined_agents = 0  #: breaker-open events
-        self.backoff_retries = 0     #: failed reconnect probes
-        self.revived = 0             #: agents brought back by a probe
+        #: Jobs handed back to the orchestrator because their agent died.
+        self.redispatched = 0
         for link in self._links:
             link.reader = threading.Thread(
                 target=self._reader, args=(link,),
@@ -277,9 +232,7 @@ class ClusterBackend:
     # -- backend interface (what the pool's scheduling loop calls) ------
 
     def launch(self, job_payload: dict) -> Tuple[object, object, object]:
-        key = JobSpec.from_dict(job_payload).key(
-            include_code=self._include_code
-        )
+        key = JobSpec.from_dict(job_payload).key()
         with self._cond:
             job = _ClusterJob(f"j{next(self._counter)}", key, job_payload)
             self._jobs[job.job_id] = job
@@ -333,6 +286,7 @@ class ClusterBackend:
             links = list(self._links)
             self._cond.notify_all()
         for link in links:
+            told = False
             if link.alive:
                 try:
                     # Owned agents exit entirely; dialed agents just end
@@ -341,8 +295,14 @@ class ClusterBackend:
                         protocol.shutdown() if link.process is not None
                         else protocol.bye()
                     )
+                    told = True
                 except ConnectionClosed:
                     pass
+            if not told and link.process is not None:
+                # An owned agent whose session died went back to
+                # listening and never hears ``shutdown``: stop it here
+                # rather than wait out the exit timeout below.
+                link.process.terminate()
             link.channel.close()
         for link in links:
             if link.reader is not None:
@@ -377,7 +337,7 @@ class ClusterBackend:
             pool = idle or candidates
             return max(pool, key=lambda l: (l.free_slots, -len(l.inflight)))
 
-    def _dispatch(self, job: _ClusterJob) -> AgentLink:
+    def _dispatch(self, job: _ClusterJob) -> None:
         """Send *job* to the best surviving agent."""
         while True:
             link = self._pick_link()
@@ -390,14 +350,17 @@ class ClusterBackend:
                 continue
             link.inflight.add(job.job_id)
             job.link = link
+            sends = self._dispatches.get(job.key, 0) + 1
+            self._dispatches[job.key] = sends
             if (self._chaos is not None and self._chaos.should(
-                    "agent.drop", f"{link.name}:{job.key}")):
+                    "agent.drop", f"{job.key}:{sends}")):
                 # Sever the connection right after the dispatch landed:
-                # the reader sees EOF, marks the link dead and re-routes
-                # every orphaned job; the breaker revives the (still
-                # healthy, still listening) agent after its backoff.
+                # the reader sees EOF and marks the link dead, which
+                # hands every job on it back to the orchestrator.  The
+                # token counts this key's dispatches, so a re-sent job
+                # draws afresh and every run draws the same.
                 link.channel.close()
-            return link
+            return
 
     def _mapped_timing(self, link: AgentLink,
                        message: dict) -> Optional[dict]:
@@ -461,71 +424,45 @@ class ClusterBackend:
 
     # -- failure handling ----------------------------------------------
 
-    def _mark_dead(self, link: AgentLink, channel=None) -> None:
+    def _mark_dead(self, link: AgentLink) -> None:
+        """Retire *link* and hand each of its unsettled jobs back.
+
+        The ``requeue`` marker tells the scheduling loop this attempt
+        was lost to the transport, not failed by the job: it re-pends
+        the job without spending a retry, and the job's next launch goes
+        to a live agent (or degrades the run to the local pool when
+        none is left).
+        """
         with self._cond:
-            if channel is not None and link.channel is not channel:
-                return  # a stale reader outlived this link's revival
             if not link.alive:
                 return
             link.alive = False
             link.inflight.clear()
             link.channel.close()
-            link.next_probe = None  # heartbeat schedules the first probe
             if self._closing:
                 return
-            orphans = [
-                job for job in self._jobs.values()
-                if not job.settled and job.link is link
-            ]
-            for job in orphans:
+            for job in self._jobs.values():
+                if job.settled or job.link is not link:
+                    continue
                 job.link = None
-                try:
-                    survivor = self._dispatch(job)
-                    self.redispatched += 1
-                    self._spans.mark("redispatched", key=job.key,
-                                     agent=survivor.name,
-                                     from_agent=link.name)
-                except WorkerStartupError:
-                    # No agent survives.  Hand the job *back* to the
-                    # orchestrator without burning a retry: the payload's
-                    # ``requeue`` marker tells the scheduling loop this
-                    # was a transport loss, not a job failure, and lets
-                    # it degrade to the local pool if the fleet is gone.
-                    job.settled = True
-                    job.mailbox = {
-                        "status": "error",
-                        "requeue": True,
-                        "error": f"agent {link.name} died and no agent "
-                                 "survives to re-run the job",
-                        "agent": link.name,
-                    }
+                job.settled = True
+                job.mailbox = {
+                    "status": "error",
+                    "requeue": True,
+                    "error": f"agent {link.name} died before the job "
+                             "settled",
+                    "agent": link.name,
+                }
+                self.redispatched += 1
             self._cond.notify_all()
 
-    def _quarantine(self, link: AgentLink, reason: str) -> None:
-        """Open the breaker on *link* (corrupt frame or strike budget)."""
-        with self._cond:
-            if link.quarantined:
-                return
-            link.quarantined = True
-            self.quarantined_agents += 1
-        self._spans.mark("agent_quarantined", agent=link.name,
-                         reason=reason)
-
     def _reader(self, link: AgentLink) -> None:
-        """Per-agent receive loop (runs until this channel dies)."""
-        channel = link.channel
+        """Per-agent receive loop (runs until the link's channel dies)."""
         while True:
             try:
-                message = channel.recv()
-            except ChecksumError as exc:
-                # A corrupt frame means this path is delivering damaged
-                # bytes: quarantine the agent immediately (open breaker,
-                # half-open probes only) instead of trusting anything
-                # else it sends.  _mark_dead re-dispatches its jobs.
-                if link.channel is channel:
-                    self._quarantine(link, f"corrupt frame: {exc}")
-                break
+                message = link.channel.recv()
             except (ConnectionClosed, TransportError, OSError):
+                # A corrupt frame disqualifies the path, not just the frame.
                 break
             kind = message.get("kind")
             if kind == "pong":
@@ -546,16 +483,16 @@ class ClusterBackend:
             elif kind in ("result", "error"):
                 self._on_outcome(link, message)
             # anything else from an agent is advisory; ignore
-        self._mark_dead(link, channel=channel)
+        self._mark_dead(link)
 
     def _heartbeat_loop(self) -> None:
         while True:
-            time.sleep(self._heartbeat_s)
             with self._cond:
-                if self._closing:
+                # Wakes early when shutdown sets ``_closing``.
+                if self._cond.wait_for(lambda: self._closing,
+                                       timeout=self._heartbeat_s):
                     return
                 links = [l for l in self._links if l.alive]
-                dead = [l for l in self._links if not l.alive]
             now = time.monotonic()
             for link in links:
                 if now - link.last_seen > self._heartbeat_timeout_s:
@@ -570,101 +507,20 @@ class ClusterBackend:
                     link.channel.send(protocol.ping(sequence))
                 except ConnectionClosed:
                     self._mark_dead(link)
-            if self._revive:
-                for link in dead:
-                    self._maybe_probe(link, time.monotonic())
-
-    # -- circuit breaker / revival --------------------------------------
-
-    def _probe_interval(self, link: AgentLink) -> float:
-        """Seconds until the next reconnect probe of *link*.
-
-        Closed breaker: exponential backoff with deterministic jitter
-        (``base * 2**strikes``, capped).  Open breaker (quarantined):
-        the fixed half-open cadence.
-        """
-        if link.quarantined:
-            return self._half_open_s
-        wait = min(self._backoff_cap_s,
-                   self._backoff_base_s * (2 ** link.strikes))
-        return wait * (1.0 + _backoff_jitter(link.name, link.strikes))
-
-    def _maybe_probe(self, link: AgentLink, now: float) -> None:
-        """Attempt one reconnect of a dead link when its backoff expires.
-
-        Links whose auto-launched process has exited can never answer
-        again and are skipped outright; so are addresses that never came
-        from a real dial (unit-test fakes).
-        """
-        if link.process is not None and link.process.poll() is not None:
-            return  # the agent process itself is gone for good
-        host, _, port_text = link.address.rpartition(":")
-        if not host or not port_text.isdigit():
-            return
-        if link.next_probe is None:
-            link.next_probe = now + self._probe_interval(link)
-            return
-        if now < link.next_probe:
-            return
-        try:
-            fresh = pair_agent(host, int(port_text),
-                               timeout=REVIVE_DIAL_TIMEOUT_S)
-        except Exception:
-            link.strikes += 1
-            self.backoff_retries += 1
-            if (not link.quarantined
-                    and link.strikes >= self._breaker_threshold):
-                self._quarantine(
-                    link, f"{link.strikes} failed reconnect probes"
-                )
-            link.next_probe = time.monotonic() + self._probe_interval(link)
-            return
-        self._adopt(link, fresh)
-
-    def _adopt(self, link: AgentLink, fresh: AgentLink) -> None:
-        """Swap a freshly paired session into a dead link (revival)."""
-        with self._cond:
-            if self._closing or link.alive:
-                fresh.channel.close()
-                return
-            link.channel = fresh.channel
-            link.channel.chaos = self._chaos
-            link.slots = fresh.slots
-            link.clock_offset = fresh.clock_offset
-            link.clock_rtt = fresh.clock_rtt
-            link.alive = True
-            link.last_seen = time.monotonic()
-            link.strikes = 0
-            link.quarantined = False
-            link.next_probe = None
-            self.revived += 1
-            link.reader = threading.Thread(
-                target=self._reader, args=(link,),
-                name=f"cluster-reader-{link.name}", daemon=True,
-            )
-            link.reader.start()
-            self._cond.notify_all()
-        self._spans.mark("agent_revived", agent=link.name)
-        if self._spans.enabled:
-            try:
-                link.channel.send(protocol.observe(True))
-            except ConnectionClosed:
-                self._mark_dead(link)
 
 
 # ----------------------------------------------------------------------
 # Pairing
 # ----------------------------------------------------------------------
 
-def pair_agent(host: str, port: int, process=None,
-               timeout: float = 15.0) -> AgentLink:
+def pair_agent(host: str, port: int, process=None) -> AgentLink:
     """Dial one agent, run the handshake, return the live link."""
-    channel = transport_connect(host, port, timeout=timeout)
+    channel = transport_connect(host, port, timeout=PAIR_TIMEOUT_S)
     code = code_fingerprint()
     try:
         hello_sent = time.monotonic()
         channel.send(protocol.hello(code))
-        greeting = channel.recv(timeout=timeout)
+        greeting = channel.recv(timeout=PAIR_TIMEOUT_S)
         welcome_received = time.monotonic()
         protocol.check_peer(greeting, "welcome", code)
     except (ConnectionClosed, TransportError, OSError) as exc:
@@ -705,10 +561,6 @@ def agent_status(host: str, port: int, timeout: float = 10.0) -> dict:
 
 
 __all__ = [
-    "DEFAULT_BACKOFF_BASE_S",
-    "DEFAULT_BACKOFF_CAP_S",
-    "DEFAULT_BREAKER_THRESHOLD",
-    "DEFAULT_HALF_OPEN_S",
     "DEFAULT_HEARTBEAT_S",
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
     "AgentLink",

@@ -64,10 +64,9 @@ def hello(code: str, role: str = "coordinator") -> dict:
 
 
 def welcome(code: str, name: str, slots: int, pid: int,
-            has_cache: bool, clock: Optional[float] = None) -> dict:
+            clock: Optional[float] = None) -> dict:
     out = {"kind": "welcome", "protocol": PROTOCOL_VERSION, "code": code,
-           "name": name, "slots": slots, "pid": pid,
-           "has_cache": has_cache}
+           "name": name, "slots": slots, "pid": pid}
     if clock is not None:
         # The agent's time.monotonic() at handshake time: the hello ->
         # welcome round trip doubles as the first clock-offset sample.

@@ -21,7 +21,6 @@ exit (``shutdown`` message) when the coordinator's backend shuts down.
 
 from __future__ import annotations
 
-import os
 import re
 import subprocess
 import sys
@@ -76,13 +75,10 @@ def parse_hosts(entries: Sequence[str]) -> List[HostSpec]:
     return [parse_host(entry) for entry in entries]
 
 
-def _agent_argv(jobs: int, pool: str, cache_dir: Optional[str],
+def _agent_argv(jobs: int, pool: str,
                 listen: str = "127.0.0.1:0") -> List[str]:
-    argv = ["-m", "repro", "cluster", "agent", "--listen", listen,
+    return ["-m", "repro", "cluster", "agent", "--listen", listen,
             "--jobs", str(jobs), "--pool", pool]
-    if cache_dir:
-        argv += ["--cache-dir", str(cache_dir)]
-    return argv
 
 
 def _scrape_port(process: subprocess.Popen,
@@ -105,21 +101,15 @@ def _scrape_port(process: subprocess.Popen,
 def launch_local_agent(
     jobs: int = 1,
     pool: str = "warm",
-    cache_dir=None,
-    env: Optional[dict] = None,
 ) -> Tuple[subprocess.Popen, str, int]:
     """Start one loopback agent subprocess; returns (proc, host, port).
 
-    The child inherits this interpreter and environment (plus *env*
-    overrides), so ``PYTHONPATH=src``-style invocations carry over.
+    The child inherits this interpreter and environment, so
+    ``PYTHONPATH=src``-style invocations carry over.
     """
-    child_env = dict(os.environ)
-    if env:
-        child_env.update(env)
     process = subprocess.Popen(
-        [sys.executable] + _agent_argv(jobs, pool, cache_dir),
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True, env=child_env,
+        [sys.executable] + _agent_argv(jobs, pool),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
     )
     host, port = _scrape_port(process, "local")
     return process, host, port
@@ -129,7 +119,6 @@ def launch_ssh_agent(
     spec: HostSpec,
     jobs: int = 1,
     pool: str = "warm",
-    cache_dir=None,
     python: str = "python3",
     ssh_command: Sequence[str] = ("ssh", "-o", "BatchMode=yes"),
 ) -> Tuple[subprocess.Popen, str, int]:
@@ -141,7 +130,7 @@ def launch_ssh_agent(
     through SSH — agents must be reachable on the announced port).
     """
     remote = " ".join(
-        [python] + _agent_argv(jobs, pool, cache_dir, listen="0.0.0.0:0")
+        [python] + _agent_argv(jobs, pool, listen="0.0.0.0:0")
     )
     process = subprocess.Popen(
         list(ssh_command) + [spec.ssh_target, remote],
@@ -156,7 +145,6 @@ def resolve_hosts(
     specs: Sequence[HostSpec],
     jobs: int = 1,
     pool: str = "warm",
-    cache_dir=None,
 ) -> List[Tuple[str, int, Optional[subprocess.Popen]]]:
     """Turn host specs into dialable ``(host, port, owned_process)``.
 
@@ -170,14 +158,11 @@ def resolve_hosts(
             if spec.kind == "dial":
                 resolved.append((spec.host, spec.port, None))
             elif spec.kind == "local":
-                proc, host, port = launch_local_agent(
-                    jobs=jobs, pool=pool, cache_dir=cache_dir
-                )
+                proc, host, port = launch_local_agent(jobs=jobs, pool=pool)
                 resolved.append((host, port, proc))
             else:
-                proc, host, port = launch_ssh_agent(
-                    spec, jobs=jobs, pool=pool, cache_dir=cache_dir
-                )
+                proc, host, port = launch_ssh_agent(spec, jobs=jobs,
+                                                    pool=pool)
                 resolved.append((host, port, proc))
     except BaseException:
         for _host, _port, proc in resolved:

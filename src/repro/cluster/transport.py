@@ -6,9 +6,9 @@ bytes of UTF-8 JSON.  Framing keeps the protocol trivially inspectable
 (``tcpdump`` + ``json.loads``) and makes partial reads unambiguous: a
 reader either has a whole message or keeps reading.  The checksum turns
 silent body corruption — a flipped bit on a bad NIC, a buggy middlebox —
-into a loud :class:`ChecksumError` the coordinator answers with agent
-quarantine and job re-dispatch, never a hung sweep delivering a wrong
-result.
+into a loud :class:`ChecksumError` the coordinator answers by ending
+the agent's link and requeueing its jobs, never a hung sweep delivering
+a wrong result.
 
 :class:`FrameChannel` wraps one connected socket with thread-safe sends
 (the coordinator's heartbeat thread and scheduling loop share a channel)

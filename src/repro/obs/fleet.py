@@ -3,8 +3,9 @@
 Where :mod:`repro.obs.tracer` follows one simulated request *inside* a
 run, this module follows one *job attempt* across the orchestration
 layer: how long it sat queued, how long dispatch took, where it ran
-(local worker or remote agent), whether it retried or was re-dispatched,
-and how long cache probes and workload-bank attaches cost.  Every event
+(local worker or remote agent), whether it retried or was requeued
+after its agent died, and how long cache probes and workload-bank
+attaches cost.  Every event
 lands in a :class:`SpanLog` — an append-only JSONL stream under the run
 directory (``<run-dir>/spans.jsonl``) plus an in-memory copy — and
 ``repro trace --run <run-dir>`` merges the whole distributed sweep into
@@ -21,9 +22,9 @@ Span taxonomy (``phase`` values)::
     agent_queue   dispatched job waiting inside a remote agent
     agent_run     attempt executing, agent-side clock (mapped)
 
-plus instant marks ``result`` / ``retry`` / ``failed`` / ``cached`` /
-``redispatched``, and ``meta`` records carrying
-per-agent clock-offset estimates.
+plus instant marks ``result`` / ``retry`` / ``requeued`` / ``failed`` /
+``cached``, and ``meta`` records carrying per-agent clock-offset
+estimates.
 
 **Clock sync.**  Local workers share the coordinator's
 ``CLOCK_MONOTONIC``, so their timestamps merge directly.  Remote agents
@@ -152,7 +153,7 @@ class SpanLog:
              job: str = "", index: Optional[int] = None,
              attempt: Optional[int] = None, agent: Optional[str] = None,
              **args) -> None:
-        """An instant event (result / retry / redispatched / ...)."""
+        """An instant event (result / retry / requeued / ...)."""
         stamp = self._clock() if t is None else t
         self._write({
             "event": "mark",

@@ -338,12 +338,6 @@ METRIC_CATALOG: Tuple[MetricSpec, ...] = (
                "per-site injection counts keyed by chaos site name "
                "(e.g. transport.corrupt, worker.crash) in the report "
                "summary's chaos block"),
-    MetricSpec("cluster.quarantined_agents", "run", "agents",
-               "agents removed from dispatch by the circuit breaker "
-               "(checksum failures or repeated reconnect strikes)"),
-    MetricSpec("cluster.backoff_retries", "run", "dials",
-               "reconnect probes to dead agents scheduled under capped "
-               "exponential backoff with deterministic jitter"),
     MetricSpec("cache.corrupt_entries", "run", "entries",
                "present-but-unusable result-cache entries detected "
                "(checksum/schema failures), unlinked and counted as "

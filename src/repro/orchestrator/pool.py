@@ -215,7 +215,6 @@ class Orchestrator:
         runner: the function executed inside the worker; defaults to
             :func:`repro.orchestrator.jobs.execute_job`.  Must be
             importable at module level (it crosses the process boundary).
-        include_code: fold :func:`code_fingerprint` into cache keys.
         pool: a local pool mode from ``POOL_MODES`` — ``"warm"``
             (persistent workers + shared workload bank, the default) or
             ``"spawn"`` (fresh process per attempt) — or an
@@ -242,7 +241,6 @@ class Orchestrator:
         retries: int = 1,
         backoff_s: float = 0.25,
         runner: Callable[[JobSpec], SimulationResult] = execute_job,
-        include_code: bool = True,
         pool: Union[str, object] = "warm",
         recycle_after: int = DEFAULT_RECYCLE_AFTER,
         bank_dir=None,
@@ -263,7 +261,6 @@ class Orchestrator:
         self.retries = retries
         self.backoff_s = backoff_s
         self.runner = runner
-        self.include_code = include_code
         self.pool = pool
         self.recycle_after = recycle_after
         self.bank_dir = bank_dir
@@ -332,7 +329,7 @@ class Orchestrator:
             path=telemetry_path, progress=progress, workers=jobs,
             backend=backend_kind, jobs_requested=jobs_requested,
         )
-        keys = [spec.key(include_code=self.include_code) for spec in specs]
+        keys = [spec.key() for spec in specs]
         outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
         telemetry.begin(len(specs))
 
@@ -857,11 +854,11 @@ class Orchestrator:
                 running.remove(slot)
                 progressed = True
                 if payload is not None and payload.get("requeue"):
-                    # Infrastructure (not the job) lost this attempt — a
-                    # dead agent with no survivor to re-dispatch to.  Put
-                    # the same attempt back in the queue without burning
-                    # retry budget; degradation (above) or a revived
-                    # agent will pick it up.
+                    # Infrastructure (not the job) lost this attempt: its
+                    # cluster agent died.  Put the same attempt back in
+                    # the queue without burning retry budget; its next
+                    # launch goes to a live agent, or degrades the run
+                    # to the local pool (above) when none is left.
                     slot_backend.retire_ok(slot)
                     requeued_at = time.monotonic()
                     wall = requeued_at - slot.started

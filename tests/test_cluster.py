@@ -1,10 +1,10 @@
 """Tests for the cluster subsystem: transport, handshake, agent caches,
 scheduling, and end-to-end digest equality against local execution.
 
-The contract under test is the ISSUE's acceptance bar: a sweep run over
-remote agents must produce a grid digest byte-identical to the same
-sweep run through the local warm pool — including when an agent is
-killed mid-run and its jobs are transparently re-dispatched.
+The contract under test: a sweep run over remote agents must produce a
+grid digest byte-identical to the same sweep run through the local warm
+pool — including when an agent is killed mid-run and the orchestrator
+requeues its jobs onto the survivor.
 """
 
 import json
@@ -18,9 +18,10 @@ import zlib
 
 import pytest
 
+from repro.chaos import parse_chaos
 from repro.cluster import connect_cluster, protocol
-from repro.cluster.agent import AgentCache, AgentServer, parse_listen
-from repro.cluster.coordinator import AgentLink, ClusterBackend
+from repro.cluster.agent import AgentServer, parse_listen
+from repro.cluster.coordinator import AgentLink, ClusterBackend, NoAgentsError
 from repro.cluster.ssh import parse_host
 from repro.cluster.transport import (
     ChecksumError,
@@ -270,11 +271,6 @@ class TestHandshake:
 # ----------------------------------------------------------------------
 
 class TestFederation:
-    def test_disabled_cache_always_misses(self):
-        agent_cache = AgentCache(None)
-        assert agent_cache.lookup("anything") is None
-        agent_cache.store("anything", _synthetic_result())  # no-op, no raise
-
     def test_agent_session_answers_from_cache(self, tmp_path):
         """A local hit ships the full result, marked cached."""
         key = _spec(seed=2).key()
@@ -340,6 +336,32 @@ class _FakeChannel:
         return [m for m in self.sent if m.get("kind") == kind]
 
 
+class _AnsweringChannel(_FakeChannel):
+    """Answers every dispatched job with a synthetic result."""
+
+    def __init__(self, agent):
+        super().__init__()
+        self.agent = agent
+
+    def send(self, message):
+        super().send(message)
+        if message.get("kind") == "job":
+            self.feed(protocol.result(
+                message["id"], message["key"],
+                _synthetic_result(3.0).to_dict(),
+                agent=self.agent, wall_s=0.0, cached=False,
+            ))
+
+
+class _HangUpChannel(_FakeChannel):
+    """Hangs up the moment a job arrives, as a dying agent's socket."""
+
+    def send(self, message):
+        super().send(message)
+        if message.get("kind") == "job":
+            self.hang_up()
+
+
 def _fake_link(name, slots=1):
     return AgentLink(channel=_FakeChannel(), name=name, slots=slots,
                      address=f"fake:{name}")
@@ -361,39 +383,28 @@ class TestCoordinatorScheduling:
         return ClusterBackend(links, **kwargs)
 
     def test_dead_agent_jobs_redispatch_to_survivors(self):
-        link_a, link_b = _fake_link("a"), _fake_link("b")
+        """A job lost with its agent reruns on the survivor through the
+        orchestrator's requeue path, without spending a retry."""
+        hung_up = _HangUpChannel()
+        link_a = AgentLink(channel=hung_up, name="a", slots=1,
+                           address="fake:a")
+        link_b = AgentLink(channel=_AnsweringChannel("b"), name="b", slots=1,
+                           address="fake:b")
         backend = self._backend([link_a, link_b])
-        try:
-            job1, _, _ = backend.launch(_spec(seed=1).to_dict())
-            job2, _, _ = backend.launch(_spec(seed=2).to_dict())
-            # One job landed on each single-slot agent.
-            assert len(link_a.channel.sent_of("job")) == 1
-            assert len(link_b.channel.sent_of("job")) == 1
+        report = Orchestrator(jobs=2, pool=backend, retries=0).run(
+            [_spec(seed=1), _spec(seed=2)]
+        )
 
-            orphan = job1 if job1.link is link_a else job2
-            link_a.channel.hang_up()
-            assert _wait_until(lambda: backend.redispatched == 1)
-            assert not link_a.alive
-            # The orphan now runs (oversubscribed) on the survivor.
-            redispatched_ids = [
-                m["id"] for m in link_b.channel.sent_of("job")
-            ]
-            assert orphan.job_id in redispatched_ids
-
-            for job in (job1, job2):
-                link_b.channel.feed(protocol.result(
-                    job.job_id, job.key, _synthetic_result().to_dict(),
-                    agent="b", wall_s=0.01, cached=False,
-                ))
-            assert _wait_until(lambda: job1.poll() and job2.poll())
-            for job in (job1, job2):
-                payload = job.recv()
-                assert payload["status"] == "ok"
-                assert payload["agent"] == "b"
-        finally:
-            backend.shutdown()
+        assert report.ok
+        assert not link_a.alive
+        assert len(hung_up.sent_of("job")) == 1
+        assert [o.agent for o in report.outcomes] == ["b", "b"]
+        assert [o.attempts for o in report.outcomes] == [1, 1]
+        assert backend.redispatched == 1
 
     def test_last_agent_death_settles_an_error(self):
+        """The last agent's death settles its job with an error that
+        names the agent, and the next launch finds no agent to run on."""
         link_a = _fake_link("a")
         backend = self._backend([link_a])
         try:
@@ -402,8 +413,28 @@ class TestCoordinatorScheduling:
             assert _wait_until(job.poll)
             payload = job.recv()
             assert payload["status"] == "error"
-            assert "no agent survives" in payload["error"]
-            assert backend.redispatched == 0
+            assert "agent a died" in payload["error"]
+            assert payload["agent"] == "a"
+            backend.retire_ok(types.SimpleNamespace(conn=job))
+            with pytest.raises(NoAgentsError):
+                backend.launch(_spec(seed=2).to_dict())
+            assert backend._jobs == {}
+        finally:
+            backend.shutdown()
+
+    def test_last_agent_death_requeues_not_retries(self):
+        """A dead link's in-flight job settles the requeue marker, not a
+        failure: the orchestrator re-pends it without spending a retry."""
+        link_a = _fake_link("a")
+        backend = self._backend([link_a])
+        try:
+            job, _, _ = backend.launch(_spec(seed=1).to_dict())
+            link_a.channel.hang_up()
+            assert _wait_until(job.poll)
+            payload = job.recv()
+            assert payload["status"] == "error"
+            assert payload["requeue"] is True
+            assert backend.redispatched == 1
         finally:
             backend.shutdown()
 
@@ -430,21 +461,10 @@ class TestCoordinatorScheduling:
     def test_cached_keys_are_never_dispatched(self, tmp_path):
         """The orchestrator answers its cache's keys before any dispatch,
         so an agent only ever receives keys the coordinator lacks."""
-
-        class _AnsweringChannel(_FakeChannel):
-            def send(self, message):
-                super().send(message)
-                if message.get("kind") == "job":
-                    self.feed(protocol.result(
-                        message["id"], message["key"],
-                        _synthetic_result(3.0).to_dict(),
-                        agent="a", wall_s=0.0, cached=False,
-                    ))
-
         held, cold = _spec(seed=1), _spec(seed=2)
         cache = ResultCache(tmp_path)
         cache.put(held.key(), _synthetic_result(7.0))
-        link = AgentLink(channel=_AnsweringChannel(), name="a", slots=1,
+        link = AgentLink(channel=_AnsweringChannel("a"), name="a", slots=1,
                          address="fake:a")
         report = Orchestrator(
             jobs=1, cache=cache, pool=self._backend([link]), retries=0,
@@ -455,7 +475,7 @@ class TestCoordinatorScheduling:
         assert [o.source for o in report.outcomes] == ["cache", "run"]
         assert report.outcomes[0].result.runtime_core_cycles == 7.0
 
-    def test_corrupt_frame_quarantines_and_redispatches(self):
+    def test_corrupt_frame_ends_the_link_and_requeues(self):
         link_a, link_b = _fake_link("a"), _fake_link("b")
         backend = self._backend([link_a, link_b])
         try:
@@ -463,62 +483,39 @@ class TestCoordinatorScheduling:
             first = job.link
             survivor = link_b if first is link_a else link_a
             first.channel.feed(ChecksumError("bit flip in flight"))
-            assert _wait_until(lambda: first.quarantined)
-            assert not first.alive
-            assert backend.quarantined_agents == 1
-            # The orphaned job moved to the surviving agent.
-            assert _wait_until(
-                lambda: any(m["id"] == job.job_id
-                            for m in survivor.channel.sent_of("job"))
-            )
-            assert backend.redispatched == 1
-        finally:
-            backend.shutdown()
-
-    def test_last_agent_death_requeues_not_retries(self):
-        """The no-survivor mailbox is a requeue marker, not a failure."""
-        link_a = _fake_link("a")
-        backend = self._backend([link_a])
-        try:
-            job, _, _ = backend.launch(_spec(seed=1).to_dict())
-            link_a.channel.hang_up()
             assert _wait_until(job.poll)
-            payload = job.recv()
-            assert payload["status"] == "error"
-            assert payload["requeue"] is True
+            assert not first.alive
+            assert job.recv()["requeue"] is True
+            assert backend.redispatched == 1
+            # The coordinator re-sends nothing itself: the requeued job's
+            # next launch is the orchestrator's.
+            assert survivor.alive
+            assert survivor.channel.sent_of("job") == []
         finally:
             backend.shutdown()
 
-    def test_breaker_opens_after_reconnect_strikes(self):
-        # A dialable-but-refusing address: every probe strikes out.
-        link = AgentLink(channel=_FakeChannel(), name="a", slots=1,
-                         address="127.0.0.1:1")
-        backend = self._backend(
-            [link], backoff_base_s=0.01, backoff_cap_s=0.02,
-            half_open_s=0.05, breaker_threshold=2,
-        )
+    def test_agent_drop_draws_per_dispatch_not_per_port(self):
+        """``agent.drop`` tokens count a key's dispatches, so a re-sent
+        job draws afresh and no draw depends on an agent's name."""
+        link_a, link_b = _fake_link("a"), _fake_link("b")
+        backend = self._backend([link_a, link_b])
+        plan = parse_chaos("off,agent.drop=1.0@1")
+        backend.attach_chaos(plan)
+        spec = _spec(seed=1)
+        key = spec.key()
         try:
-            link.channel.hang_up()
-            assert _wait_until(lambda: link.quarantined, timeout_s=20.0)
-            assert backend.quarantined_agents == 1
-            assert backend.backoff_retries >= 2
-            strikes_at_open = link.strikes
-            # Half-open probes keep testing the quarantined agent.
-            assert _wait_until(lambda: link.strikes > strikes_at_open,
-                               timeout_s=20.0)
-            assert not link.alive
-        finally:
-            backend.shutdown()
+            job, conn, _ = backend.launch(spec.to_dict())
+            assert [m["key"] for m in link_a.channel.sent_of("job")] == [key]
+            assert _wait_until(job.poll)
+            assert job.recv()["requeue"] is True
+            backend.retire_ok(types.SimpleNamespace(conn=conn))
 
-    def test_unparseable_address_is_never_probed(self):
-        link = _fake_link("a")  # address "fake:a" cannot be dialed
-        backend = self._backend([link], backoff_base_s=0.01)
-        try:
-            link.channel.hang_up()
-            assert _wait_until(lambda: not link.alive)
-            time.sleep(0.3)  # several heartbeat ticks
-            assert backend.backoff_retries == 0
-            assert link.next_probe is None
+            relaunched, _, _ = backend.launch(spec.to_dict())
+            assert [m["key"] for m in link_b.channel.sent_of("job")] == [key]
+            assert _wait_until(relaunched.poll)
+            assert plan.injections == [
+                ("agent.drop", f"{key}:1"), ("agent.drop", f"{key}:2"),
+            ]
         finally:
             backend.shutdown()
 
@@ -571,6 +568,8 @@ class TestLoopbackCluster:
         assert report.ok
         assert digest == local_digest
         assert backend.redispatched == 0
+        # Neither agent has a cache: every point was simulated.
+        assert {o.source for o in report.outcomes} == {"run"}
         served = {link.name: link.served for link in backend.agents()}
         assert sum(served.values()) >= 36  # both agents actually worked
         assert all(count > 0 for count in served.values())
@@ -584,37 +583,31 @@ class TestLoopbackCluster:
             report, digest = _run_sweep_pin(backend)
         finally:
             timer.cancel()
-        assert report.ok  # the orchestrator never saw the death
+        assert report.ok  # the death cost no retry
         assert digest == local_digest
         assert not victim.alive
         assert backend.redispatched >= 1
 
-    def test_dropped_session_is_revived_by_a_probe(self):
-        # The agent process keeps listening after a session drop; the
-        # coordinator's backoff probes must re-pair it transparently.
-        backend = connect_cluster(
-            ["local"], agent_jobs=1,
-            heartbeat_s=0.05, backoff_base_s=0.05, backoff_cap_s=0.2,
-        )
+    def test_shutdown_after_a_dropped_session_is_prompt(self):
+        """An owned agent whose session died is stopped, not waited on:
+        it went back to listening and never hears ``shutdown``."""
+        backend = connect_cluster(["local"], agent_jobs=1)
+        link = backend.agents()[0]
         try:
-            link = backend.agents()[0]
             link.channel.close()  # simulate a severed connection
-            assert _wait_until(lambda: backend.revived >= 1 and link.alive,
-                               timeout_s=20.0)
-            assert link.strikes == 0 and not link.quarantined
-            # The revived session still runs jobs end to end.
-            job, _, _ = backend.launch(_spec(seed=3).to_dict())
-            assert _wait_until(job.poll, timeout_s=30.0)
-            assert job.recv()["status"] == "ok"
+            assert _wait_until(lambda: not link.alive)
         finally:
+            started = time.monotonic()
             backend.shutdown()
+            elapsed = time.monotonic() - started
+        assert elapsed < 5.0
+        assert link.process.poll() is not None
 
     def test_fleet_loss_degrades_to_local_same_digest(
         self, local_digest, tmp_path
     ):
-        backend = connect_cluster(
-            ["local", "local"], agent_jobs=2, revive=False
-        )
+        backend = connect_cluster(["local", "local"], agent_jobs=2)
+
         def _kill_fleet():
             for link in backend.agents():
                 link.process.kill()
