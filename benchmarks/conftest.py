@@ -1,20 +1,25 @@
 """Shared infrastructure for the paper-figure benchmarks.
 
 Every ``benchmarks/test_*.py`` regenerates one table or figure of the
-paper.  Full-timing figures (12/13/14/17) share one sweep of simulation
-results through the session-scoped ``results_cache`` so the expensive
-runs happen once.  Each bench prints its table and also writes it to
+paper.  Each bench prints its table and also writes it to
 ``benchmarks/out/<name>.txt`` so results survive pytest's capture.
+
+Full-timing figures (12/13/14/17) simulate their points through
+:mod:`repro.analysis.figures`, the pipeline behind ``repro figures``:
+points are ``JobSpec``\\ s, the ones missing from the session's
+``result_cache`` run in one orchestrator run, and Figs. 12-14 render and
+write their tables with ``repro figures``' own renderers and writer.
+Figs. 13 and 14 reuse Fig. 12's points as cache hits.
 
 Scale: benches default to the ``fast`` preset (capacities and footprints
 scaled down 32x together — see DESIGN.md section 6 and
 ``repro.sim.runner.ExperimentScale``).  Set ``REPRO_BENCH_SCALE=tiny``
 for smoke runs or ``REPRO_BENCH_RECORDS`` to change trace length.
 
-Caching: set ``REPRO_BENCH_CACHE_DIR=<dir>`` to back the in-memory
-results cache with the orchestrator's content-addressed on-disk cache
-(docs/ORCHESTRATOR.md).  Repeat ``pytest benchmarks/`` invocations then
-reuse every previously simulated (workload, system, config, seed) point
+Caching: the result cache is the orchestrator's content-addressed
+on-disk cache (docs/ORCHESTRATOR.md) in a session temp directory, or in
+``REPRO_BENCH_CACHE_DIR`` when that is set.  Repeat ``pytest
+benchmarks/`` invocations then reuse every previously simulated point
 instead of re-simulating it, which collapses the suite's wall-clock.
 Keys include a hash of the ``repro`` sources, so editing the simulator
 invalidates stale entries automatically.
@@ -25,23 +30,15 @@ from __future__ import annotations
 import dataclasses
 import os
 import pathlib
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import pytest
 
-from repro.analysis.figures import figure_scale, point_key
-from repro.core.blem import BlemConfig
-from repro.core.copr import CoprConfig
+from repro.analysis.figures import FIGURES, build, figure_scale
 from repro.orchestrator import ResultCache
-from repro.sim.runner import ExperimentScale, run_benchmark
-from repro.sim.simulator import SimulationResult
-from repro.workloads.profiles import all_benchmark_names
+from repro.sim.runner import ExperimentScale
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-#: Figure order for per-benchmark tables.
-ALL_WORKLOADS = all_benchmark_names()
-TIMING_SYSTEMS = ("baseline", "metadata_cache", "attache", "ideal")
 
 
 def bench_scale() -> ExperimentScale:
@@ -68,78 +65,29 @@ def functional_workload_kwargs() -> Dict[str, object]:
     )
 
 
-class ResultsCache:
-    """Memoises full-timing simulation results across bench modules.
-
-    Always memoises in memory; when ``REPRO_BENCH_CACHE_DIR`` is set it
-    also reads/writes the orchestrator's content-addressed on-disk cache
-    so results survive across pytest sessions and CI runs.
-    """
-
-    def __init__(self) -> None:
-        self._results: Dict[tuple, SimulationResult] = {}
-        cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
-        self._disk = ResultCache(cache_dir) if cache_dir else None
-
-    def get(
-        self,
-        workload: str,
-        system: str,
-        copr_config: Optional[CoprConfig] = None,
-        blem_config: BlemConfig = BlemConfig(),
-        seed: int = 2018,
-    ) -> SimulationResult:
-        key = (workload, system, copr_config, blem_config, seed,
-               bench_scale().name, bench_scale().records_per_core)
-        if key not in self._results:
-            self._results[key] = self._simulate_or_load(key)
-        return self._results[key]
-
-    def _simulate_or_load(self, key: tuple) -> SimulationResult:
-        workload, system, copr_config, blem_config, seed = key[:5]
-        disk_key = None
-        if self._disk is not None:
-            disk_key = point_key(
-                workload, system, bench_scale(), copr_config=copr_config,
-                blem_config=blem_config, seed=seed,
-            )
-            cached = self._disk.get(disk_key)
-            if cached is not None:
-                return cached
-        result = run_benchmark(
-            workload, system, scale=bench_scale(), seed=seed,
-            copr_config=copr_config, blem_config=blem_config,
-        )
-        if self._disk is not None:
-            self._disk.put(disk_key, result,
-                           meta={"workload": workload, "system": system})
-        return result
-
-    def sweep(
-        self,
-        workloads: List[str],
-        systems: List[str],
-        **kwargs,
-    ) -> Dict[str, Dict[str, SimulationResult]]:
-        """results[workload][system] for the full cross product."""
-        return {
-            workload: {
-                system: self.get(workload, system, **kwargs)
-                for system in systems
-            }
-            for workload in workloads
-        }
-
-
 @pytest.fixture(scope="session")
-def results_cache() -> ResultsCache:
-    return ResultsCache()
+def result_cache(tmp_path_factory) -> ResultCache:
+    """The full-timing benches' result cache: ``REPRO_BENCH_CACHE_DIR``
+    when set, else a directory that lives for the session."""
+    cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
+    return ResultCache(cache_dir or tmp_path_factory.mktemp("results"))
 
 
 @pytest.fixture(scope="session")
 def report_dir() -> pathlib.Path:
     OUT_DIR.mkdir(exist_ok=True)
     return OUT_DIR
+
+
+def figure_rows(name: str, result_cache: ResultCache,
+                report_dir: pathlib.Path) -> List[list]:
+    """Regenerate the ``repro figures`` table *name* at the bench scale
+    and print it; returns its rows, the GEOMEAN row last."""
+    rows = build([FIGURES[name]], result_cache, report_dir,
+                 bench_scale())[name]
+    print()
+    print((report_dir / f"{name}.txt").read_text(encoding="utf-8"), end="")
+    return rows
 
 
 def publish(report_dir: pathlib.Path, name: str, table: str) -> None:

@@ -9,32 +9,15 @@ shape to check is the ordering (ideal >= Attaché > metadata-cache on
 average) and the metadata-cache pathologies.
 """
 
-from conftest import ALL_WORKLOADS, TIMING_SYSTEMS, publish
-
-from repro.analysis import bar_chart, format_table, geometric_mean
+from conftest import figure_rows
 
 
-def test_fig12_speedup_over_baseline(benchmark, results_cache, report_dir):
-    def collect():
-        sweep = results_cache.sweep(list(ALL_WORKLOADS), list(TIMING_SYSTEMS))
-        rows = []
-        for name in ALL_WORKLOADS:
-            base = sweep[name]["baseline"].runtime_core_cycles
-            rows.append(
-                [
-                    name,
-                    base / sweep[name]["metadata_cache"].runtime_core_cycles,
-                    base / sweep[name]["attache"].runtime_core_cycles,
-                    base / sweep[name]["ideal"].runtime_core_cycles,
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(collect, rounds=1, iterations=1)
-
-    md_mean = geometric_mean([r[1] for r in rows])
-    attache_mean = geometric_mean([r[2] for r in rows])
-    ideal_mean = geometric_mean([r[3] for r in rows])
+def test_fig12_speedup_over_baseline(benchmark, result_cache, report_dir):
+    rows = benchmark.pedantic(
+        figure_rows, args=("fig12_speedup", result_cache, report_dir),
+        rounds=1, iterations=1,
+    )
+    *per_workload, (__, md_mean, attache_mean, ideal_mean) = rows
 
     # Shape assertions (paper: md ~1.08, attache ~1.153, ideal ~1.17).
     assert attache_mean > md_mean, "Attaché must beat metadata caching"
@@ -42,21 +25,8 @@ def test_fig12_speedup_over_baseline(benchmark, results_cache, report_dir):
     assert attache_mean > 1.02, "Attaché must show a clear speedup"
     assert ideal_mean > 1.05
     # Metadata caching hurts its pathological workloads.
-    by_name = {r[0]: r for r in rows}
+    by_name = {r[0]: r for r in per_workload}
     assert by_name["RAND"][1] < 1.0, "metadata cache must slow RAND down"
     assert by_name["RAND"][2] > by_name["RAND"][1] + 0.05
     # Attaché tracks ideal within a few percent on average.
     assert ideal_mean - attache_mean < 0.08
-
-    rows.append(["GEOMEAN", md_mean, attache_mean, ideal_mean])
-    table = format_table(
-        ["benchmark", "metadata-cache", "attache", "ideal"],
-        rows,
-        title="Figure 12: Speedup over no-compression baseline",
-    )
-    table += "\n\n" + bar_chart(
-        [r[0] for r in rows], [r[2] for r in rows],
-        title="Attaché speedup (| marks 1.0 = baseline)",
-        baseline=1.0, unit="x",
-    )
-    publish(report_dir, "fig12_speedup", table)

@@ -6,52 +6,21 @@ energising half the chips, fewer total requests, and shorter runtime
 (background energy).  Reuses the Fig. 12 simulation sweep.
 """
 
-from conftest import ALL_WORKLOADS, TIMING_SYSTEMS, publish
-
-from repro.analysis import bar_chart, format_table, geometric_mean
+from conftest import figure_rows
 
 
-def test_fig13_energy_vs_baseline(benchmark, results_cache, report_dir):
-    def collect():
-        sweep = results_cache.sweep(list(ALL_WORKLOADS), list(TIMING_SYSTEMS))
-        rows = []
-        for name in ALL_WORKLOADS:
-            base = sweep[name]["baseline"].energy.total_nj
-            rows.append(
-                [
-                    name,
-                    sweep[name]["metadata_cache"].energy.total_nj / base,
-                    sweep[name]["attache"].energy.total_nj / base,
-                    sweep[name]["ideal"].energy.total_nj / base,
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(collect, rounds=1, iterations=1)
-
-    md_mean = geometric_mean([r[1] for r in rows])
-    attache_mean = geometric_mean([r[2] for r in rows])
-    ideal_mean = geometric_mean([r[3] for r in rows])
+def test_fig13_energy_vs_baseline(benchmark, result_cache, report_dir):
+    rows = benchmark.pedantic(
+        figure_rows, args=("fig13_energy", result_cache, report_dir),
+        rounds=1, iterations=1,
+    )
+    *per_workload, (__, md_mean, attache_mean, ideal_mean) = rows
 
     # Shape (paper: md 0.90, attache 0.78, ideal 0.77).
     assert attache_mean < md_mean, "Attaché must save more than md-cache"
     assert attache_mean < 0.97, "Attaché must show clear energy savings"
     assert ideal_mean <= attache_mean + 0.02
     # Metadata caching costs energy on its pathological workload.
-    by_name = {r[0]: r for r in rows}
+    by_name = {r[0]: r for r in per_workload}
     assert by_name["RAND"][1] > 1.0, "metadata cache must burn energy on RAND"
     assert by_name["RAND"][2] < by_name["RAND"][1] - 0.05
-
-    rows.append(["GEOMEAN", md_mean, attache_mean, ideal_mean])
-    table = format_table(
-        ["benchmark", "metadata-cache", "attache", "ideal"],
-        rows,
-        title="Figure 13: Energy relative to no-compression baseline "
-              "(lower is better)",
-    )
-    table += "\n\n" + bar_chart(
-        [r[0] for r in rows], [r[2] for r in rows],
-        title="Attaché energy vs baseline (| marks 1.0; shorter is better)",
-        baseline=1.0, unit="x",
-    )
-    publish(report_dir, "fig13_energy", table)

@@ -9,49 +9,17 @@ With compression the bytes moved per line shrink, so we report demand
 lines served per kilocycle (line throughput) plus raw bytes/cycle.
 """
 
-from conftest import ALL_WORKLOADS, TIMING_SYSTEMS, publish
-
-from repro.analysis import format_table, geometric_mean
+from conftest import figure_rows
 
 
-def test_fig14_bandwidth_and_latency(benchmark, results_cache, report_dir):
-    def collect():
-        sweep = results_cache.sweep(list(ALL_WORKLOADS), list(TIMING_SYSTEMS))
-        rows = []
-        for name in ALL_WORKLOADS:
-            base = sweep[name]["baseline"]
-            attache = sweep[name]["attache"]
-
-            def line_throughput(result):
-                reads = result.memory_requests_by_kind.get("demand_read", 0)
-                writes = result.memory_requests_by_kind.get("demand_write", 0)
-                return 1000.0 * (reads + writes) / result.runtime_bus_cycles
-
-            rows.append(
-                [
-                    name,
-                    line_throughput(attache) / line_throughput(base),
-                    attache.mean_read_latency_bus_cycles
-                    / base.mean_read_latency_bus_cycles,
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(collect, rounds=1, iterations=1)
-
-    bandwidth_mean = geometric_mean([r[1] for r in rows])
-    latency_mean = geometric_mean([r[2] for r in rows])
+def test_fig14_bandwidth_and_latency(benchmark, result_cache, report_dir):
+    rows = benchmark.pedantic(
+        figure_rows, args=("fig14_bandwidth_latency", result_cache,
+                           report_dir),
+        rounds=1, iterations=1,
+    )
+    __, bandwidth_mean, latency_mean = rows[-1]
 
     # Shape (paper: +16 % bandwidth, -14 % latency).
     assert bandwidth_mean > 1.02, "Attaché must raise line bandwidth"
     assert latency_mean < 0.99, "Attaché must lower mean read latency"
-
-    rows.append(["GEOMEAN", bandwidth_mean, latency_mean])
-    table = format_table(
-        ["benchmark", "line bandwidth vs baseline",
-         "mean read latency vs baseline"],
-        rows,
-        title="Figure 14: Attaché bandwidth improvement and latency "
-              "reduction",
-    )
-    publish(report_dir, "fig14_bandwidth_latency", table)

@@ -6,10 +6,10 @@ mixed workloads.  This bench re-runs Attaché with three predictor
 configurations on a representative subset plus both mixes.
 """
 
-from conftest import TIMING_SYSTEMS, bench_scale, publish
+from conftest import bench_scale, publish
 
 from repro.analysis import format_table, geometric_mean
-from repro.core.copr import CoprConfig
+from repro.analysis.figures import figure_point, simulate
 
 #: Representative subset: streaming, irregular, incompressible, mixes.
 WORKLOADS = ("mcf", "lbm", "omnetpp", "bc.kron", "pr.kron", "STREAM",
@@ -22,21 +22,31 @@ ABLATIONS = (
 )
 
 
-def test_fig17_copr_component_ablation(benchmark, results_cache, report_dir):
+def test_fig17_copr_component_ablation(benchmark, result_cache, report_dir):
     scale = bench_scale()
+    # Per workload: its baseline (a Fig. 12 point), then one Attaché
+    # point per ablation.
+    points = {
+        name: [figure_point(name, "baseline", scale)] + [
+            figure_point(name, "attache", scale,
+                         copr_config=scale.copr_config(**overrides))
+            for __, overrides in ABLATIONS
+        ]
+        for name in WORKLOADS
+    }
 
     def collect():
+        results = simulate(
+            [point for row in points.values() for point in row],
+            result_cache,
+        )
         rows = []
-        for name in WORKLOADS:
-            base = results_cache.get(name, "baseline").runtime_core_cycles
-            row = [name]
-            for __, overrides in ABLATIONS:
-                result = results_cache.get(
-                    name, "attache",
-                    copr_config=scale.copr_config(**overrides),
-                )
-                row.append(base / result.runtime_core_cycles)
-            rows.append(row)
+        for name, (base, *ablations) in points.items():
+            cycles = results[base.key()].runtime_core_cycles
+            rows.append([name] + [
+                cycles / results[point.key()].runtime_core_cycles
+                for point in ablations
+            ])
         return rows
 
     rows = benchmark.pedantic(collect, rounds=1, iterations=1)

@@ -1,21 +1,20 @@
-"""Incremental figure regeneration over the shared result cache.
+"""The Fig. 12/13/14 pipeline: figure points, their simulation and tables.
 
-``pytest benchmarks/`` regenerates every figure table unconditionally.
-This module is the ROADMAP's "incremental figure regeneration" item: it
-knows which simulation points each figure table consumes, keys them with
-the orchestrator's content-addressed scheme
-(:func:`repro.orchestrator.stable_key` over the job spec plus
-:func:`repro.orchestrator.code_fingerprint`), and regenerates only the
-tables whose point-key set changed since the table was last written —
-i.e. after a code edit, a scale change, or a first run.  Simulated
-points land in the same on-disk :class:`repro.orchestrator.ResultCache`
-layout the benches use (``REPRO_BENCH_CACHE_DIR``), so a bench run warms
-``repro figures`` and vice versa.
+``repro figures`` and the figure benches (``benchmarks/test_fig1*``)
+both regenerate their tables here.  A figure's points are
+:class:`repro.orchestrator.JobSpec`\\ s keyed by :meth:`JobSpec.key`, the
+content-addressed (spec, code) key every sweep uses, so a bench run, a
+sweep of the same points and ``repro figures`` all fill and read one
+:class:`repro.orchestrator.ResultCache`.  :func:`simulate` runs the
+points a cache lacks in one :class:`repro.orchestrator.Orchestrator`
+run (warm pool, workload bank), and :func:`build` renders and writes
+each table.
 
-Keys are content-addressed by (spec, code): results are deterministic,
-so "the underlying cached points changed" is exactly "the key set
-changed".  A state file next to the tables maps each figure to the
-digest of its key set.
+Results are deterministic, so "the underlying cached points changed" is
+exactly "the key set changed": the one table writer records the digest
+of each table's key set in a state file next to the tables, and
+:func:`regenerate` rebuilds only the tables whose key set moved since —
+after a code edit, a scale change, or a first run.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.charts import bar_chart
 from repro.analysis.report import format_table, geometric_mean
-from repro.core.blem import BlemConfig
-from repro.core.copr import CoprConfig
-from repro.orchestrator import ResultCache, code_fingerprint, stable_key
-from repro.sim.runner import ExperimentScale, run_benchmark
+from repro.orchestrator import JobSpec, Orchestrator, ResultCache
+from repro.sim.runner import ExperimentScale
 from repro.sim.simulator import SimulationResult
 from repro.workloads.profiles import all_benchmark_names
 
@@ -39,10 +36,12 @@ __all__ = [
     "FIGURES",
     "FigureSpec",
     "FigureStatus",
+    "build",
+    "figure_point",
     "figure_scale",
     "plan",
-    "point_key",
     "regenerate",
+    "simulate",
 ]
 
 #: Name of the per-directory freshness state file.
@@ -51,8 +50,8 @@ STATE_FILE = ".figures_state.json"
 _SEED = 2018
 _ALL_SYSTEMS = ("baseline", "metadata_cache", "attache", "ideal")
 
-#: Sweep results keyed results[workload][system].
-Sweep = Dict[str, Dict[str, SimulationResult]]
+#: A table's rows: one per workload, then the GEOMEAN row.
+Rows = List[list]
 
 
 def figure_scale(preset: str = "tiny") -> ExperimentScale:
@@ -80,73 +79,74 @@ def figure_scale(preset: str = "tiny") -> ExperimentScale:
     raise ValueError(f"unknown scale preset: {preset!r}")
 
 
+def figure_point(workload: str, system: str, scale: ExperimentScale,
+                 **parameters) -> JobSpec:
+    """One figure point at the figures' seed.
+
+    *parameters* are the ``run_benchmark`` arguments the caller sets and
+    nothing else, so a point with defaults keys the same wherever it is
+    requested (Fig. 17's baselines are Fig. 12's points).
+    """
+    return JobSpec(benchmark=workload, system=system, seed=_SEED,
+                   scale=scale, parameters=parameters)
+
+
 @dataclass(frozen=True)
 class FigureSpec:
     """One regenerable figure table.
 
     Attributes:
-        name: output stem (``<out_dir>/<name>.txt``), matching the
-            bench suite's ``publish`` names.
+        name: output stem (``<out_dir>/<name>.txt``).
         title: human-readable description for ``repro figures --list``.
         systems: the systems each workload must be simulated under.
-        render: sweep results -> table text.
+        row: one workload's results by system -> its row's values.
+        text: rows -> table text.
     """
 
     name: str
     title: str
     systems: Tuple[str, ...]
-    render: Callable[[Sweep], str]
+    row: Callable[[Dict[str, SimulationResult]], list]
+    text: Callable[[Rows], str]
 
-    def points(self, scale: ExperimentScale) -> List[Tuple[str, str, str]]:
-        """The ``(workload, system, cache key)`` points this figure
-        consumes, in deterministic order."""
+    def points(self, scale: ExperimentScale) -> List[JobSpec]:
+        """The points this figure consumes, workload-major."""
         return [
-            (workload, system, point_key(workload, system, scale))
+            figure_point(workload, system, scale)
             for workload in all_benchmark_names()
             for system in self.systems
         ]
 
+    def keys(self, scale: ExperimentScale) -> List[str]:
+        return [point.key() for point in self.points(scale)]
 
-def point_key(workload: str, system: str, scale: ExperimentScale,
-              copr_config: Optional[CoprConfig] = None,
-              blem_config: BlemConfig = BlemConfig(),
-              seed: int = _SEED) -> str:
-    """The result-cache key of one simulated point.
-
-    ``repro figures`` and the bench suite's ``ResultsCache`` both key
-    their on-disk entries with it, so the two share cached points.
-    """
-    return stable_key({
-        "kind": "bench",
-        "workload": workload,
-        "system": system,
-        "copr_config": copr_config,
-        "blem_config": blem_config,
-        "seed": seed,
-        "scale": scale,
-        "code": code_fingerprint(),
-    })
+    def rows(self, results: Dict[str, SimulationResult],
+             scale: ExperimentScale) -> Rows:
+        """One row per workload from *results* (by point key), then the
+        GEOMEAN row."""
+        rows = [
+            [workload] + self.row({
+                system: results[figure_point(workload, system, scale).key()]
+                for system in self.systems
+            })
+            for workload in all_benchmark_names()
+        ]
+        columns = list(zip(*rows))[1:]
+        return rows + [["GEOMEAN"] + [geometric_mean(c) for c in columns]]
 
 
-def _render_speedup(sweep: Sweep) -> str:
-    rows = []
-    for name in all_benchmark_names():
-        base = sweep[name]["baseline"].runtime_core_cycles
-        rows.append([
-            name,
-            base / sweep[name]["metadata_cache"].runtime_core_cycles,
-            base / sweep[name]["attache"].runtime_core_cycles,
-            base / sweep[name]["ideal"].runtime_core_cycles,
-        ])
-    rows.append([
-        "GEOMEAN",
-        geometric_mean([r[1] for r in rows]),
-        geometric_mean([r[2] for r in rows]),
-        geometric_mean([r[3] for r in rows]),
-    ])
+_COMPARED = ("metadata_cache", "attache", "ideal")
+_COMPARED_COLUMNS = ["benchmark", "metadata-cache", "attache", "ideal"]
+
+
+def _speedup_row(run: Dict[str, SimulationResult]) -> list:
+    base = run["baseline"].runtime_core_cycles
+    return [base / run[system].runtime_core_cycles for system in _COMPARED]
+
+
+def _speedup_text(rows: Rows) -> str:
     table = format_table(
-        ["benchmark", "metadata-cache", "attache", "ideal"],
-        rows,
+        _COMPARED_COLUMNS, rows,
         title="Figure 12: Speedup over no-compression baseline",
     )
     return table + "\n\n" + bar_chart(
@@ -156,50 +156,34 @@ def _render_speedup(sweep: Sweep) -> str:
     )
 
 
-def _render_energy(sweep: Sweep) -> str:
-    rows = []
-    for name in all_benchmark_names():
-        base = sweep[name]["baseline"].energy.total_nj
-        rows.append([
-            name,
-            sweep[name]["metadata_cache"].energy.total_nj / base,
-            sweep[name]["attache"].energy.total_nj / base,
-            sweep[name]["ideal"].energy.total_nj / base,
-        ])
-    rows.append([
-        "GEOMEAN",
-        geometric_mean([r[1] for r in rows]),
-        geometric_mean([r[2] for r in rows]),
-        geometric_mean([r[3] for r in rows]),
-    ])
+def _energy_row(run: Dict[str, SimulationResult]) -> list:
+    base = run["baseline"].energy.total_nj
+    return [run[system].energy.total_nj / base for system in _COMPARED]
+
+
+def _energy_text(rows: Rows) -> str:
     return format_table(
-        ["benchmark", "metadata-cache", "attache", "ideal"],
-        rows,
+        _COMPARED_COLUMNS, rows,
         title="Figure 13: Memory-system energy vs no-compression baseline",
     )
 
 
-def _render_bandwidth_latency(sweep: Sweep) -> str:
-    def line_throughput(result: SimulationResult) -> float:
-        reads = result.memory_requests_by_kind.get("demand_read", 0)
-        writes = result.memory_requests_by_kind.get("demand_write", 0)
-        return 1000.0 * (reads + writes) / result.runtime_bus_cycles
+def _line_throughput(result: SimulationResult) -> float:
+    reads = result.memory_requests_by_kind.get("demand_read", 0)
+    writes = result.memory_requests_by_kind.get("demand_write", 0)
+    return 1000.0 * (reads + writes) / result.runtime_bus_cycles
 
-    rows = []
-    for name in all_benchmark_names():
-        base = sweep[name]["baseline"]
-        attache = sweep[name]["attache"]
-        rows.append([
-            name,
-            line_throughput(attache) / line_throughput(base),
-            attache.mean_read_latency_bus_cycles
-            / base.mean_read_latency_bus_cycles,
-        ])
-    rows.append([
-        "GEOMEAN",
-        geometric_mean([r[1] for r in rows]),
-        geometric_mean([r[2] for r in rows]),
-    ])
+
+def _bandwidth_latency_row(run: Dict[str, SimulationResult]) -> list:
+    base, attache = run["baseline"], run["attache"]
+    return [
+        _line_throughput(attache) / _line_throughput(base),
+        attache.mean_read_latency_bus_cycles
+        / base.mean_read_latency_bus_cycles,
+    ]
+
+
+def _bandwidth_latency_text(rows: Rows) -> str:
     return format_table(
         ["benchmark", "line bandwidth vs baseline",
          "mean read latency vs baseline"],
@@ -209,26 +193,76 @@ def _render_bandwidth_latency(sweep: Sweep) -> str:
     )
 
 
-FIGURES: Tuple[FigureSpec, ...] = (
-    FigureSpec(
-        name="fig12_speedup",
-        title="speedup over no-compression baseline",
-        systems=_ALL_SYSTEMS,
-        render=_render_speedup,
-    ),
-    FigureSpec(
-        name="fig13_energy",
-        title="memory-system energy vs baseline",
-        systems=_ALL_SYSTEMS,
-        render=_render_energy,
-    ),
-    FigureSpec(
-        name="fig14_bandwidth_latency",
-        title="bandwidth improvement and latency reduction",
-        systems=("baseline", "attache"),
-        render=_render_bandwidth_latency,
-    ),
-)
+#: Every regenerable table by name, in rendering order.
+FIGURES: Dict[str, FigureSpec] = {
+    spec.name: spec for spec in (
+        FigureSpec("fig12_speedup", "speedup over no-compression baseline",
+                   _ALL_SYSTEMS, _speedup_row, _speedup_text),
+        FigureSpec("fig13_energy", "memory-system energy vs baseline",
+                   _ALL_SYSTEMS, _energy_row, _energy_text),
+        FigureSpec("fig14_bandwidth_latency",
+                   "bandwidth improvement and latency reduction",
+                   ("baseline", "attache"), _bandwidth_latency_row,
+                   _bandwidth_latency_text),
+    )
+}
+
+
+def simulate(points: Sequence[JobSpec],
+             cache: ResultCache) -> Dict[str, SimulationResult]:
+    """Every point's result by key, from one orchestrator run.
+
+    Points already in *cache* are read from it; the rest run in the warm
+    pool and are stored into it.  Points that share a key run once.
+    Raises :class:`RuntimeError` when any point fails.
+    """
+    unique = list({point.key(): point for point in points}.values())
+    report = Orchestrator(jobs="auto", cache=cache).run(unique)
+    if report.failures:
+        raise RuntimeError("figure points failed: " + "; ".join(
+            f"{outcome.spec.describe()}: {outcome.error}"
+            for outcome in report.failures
+        ))
+    return {outcome.key: outcome.result for outcome in report.outcomes}
+
+
+def _keyset_digest(keys: Sequence[str]) -> str:
+    return hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
+
+
+def _load_state(out_dir: pathlib.Path) -> Dict[str, str]:
+    try:
+        state = json.loads((out_dir / STATE_FILE).read_text(encoding="utf-8"))
+        return {str(k): str(v) for k, v in state.items()}
+    except (OSError, ValueError, AttributeError):
+        return {}
+
+
+def build(
+    specs: Sequence[FigureSpec],
+    cache: ResultCache,
+    out_dir: pathlib.Path,
+    scale: ExperimentScale,
+) -> Dict[str, Rows]:
+    """Simulate what *specs* need, then write their tables: the one
+    writer of a figure table, which records the table's key-set digest
+    in the state file.  Returns each figure's rows by name."""
+    results = simulate(
+        [point for spec in specs for point in spec.points(scale)], cache
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    state = _load_state(out_dir)
+    built = {}
+    for spec in specs:
+        built[spec.name] = rows = spec.rows(results, scale)
+        (out_dir / f"{spec.name}.txt").write_text(
+            spec.text(rows) + "\n", encoding="utf-8"
+        )
+        state[spec.name] = _keyset_digest(spec.keys(scale))
+    (out_dir / STATE_FILE).write_text(
+        json.dumps(state, indent=2, sort_keys=True) + "\n", encoding="utf-8",
+    )
+    return built
 
 
 @dataclass
@@ -236,26 +270,9 @@ class FigureStatus:
     """Freshness of one figure against the state file."""
 
     spec: FigureSpec
-    digest: str  #: digest of the figure's current point-key set
     fresh: bool  #: table exists and was rendered from this key set
     cached_points: int  #: points already present in the result cache
     total_points: int
-
-
-def _state_path(out_dir: pathlib.Path) -> pathlib.Path:
-    return out_dir / STATE_FILE
-
-
-def _load_state(out_dir: pathlib.Path) -> Dict[str, str]:
-    try:
-        state = json.loads(_state_path(out_dir).read_text(encoding="utf-8"))
-        return {str(k): str(v) for k, v in state.items()}
-    except (OSError, ValueError, AttributeError):
-        return {}
-
-
-def _keyset_digest(keys: Sequence[str]) -> str:
-    return hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
 
 
 def plan(
@@ -265,30 +282,24 @@ def plan(
     only: Optional[Sequence[str]] = None,
 ) -> List[FigureStatus]:
     """Freshness of every (selected) figure, without simulating."""
-    names = set(only) if only else None
-    if names:
-        known = {spec.name for spec in FIGURES}
-        unknown = names - known
-        if unknown:
-            raise ValueError(
-                f"unknown figure(s): {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})"
-            )
+    unknown = set(only or ()) - FIGURES.keys()
+    if unknown:
+        raise ValueError(
+            f"unknown figure(s): {', '.join(sorted(unknown))} "
+            f"(known: {', '.join(FIGURES)})"
+        )
     state = _load_state(out_dir)
     statuses = []
-    for spec in FIGURES:
-        if names and spec.name not in names:
+    for spec in FIGURES.values():
+        if only and spec.name not in only:
             continue
-        points = spec.points(scale)
-        digest = _keyset_digest([key for __, __, key in points])
-        fresh = (
-            state.get(spec.name) == digest
-            and (out_dir / f"{spec.name}.txt").exists()
-        )
-        cached = sum(1 for __, __, key in points if cache.path(key).exists())
+        keys = spec.keys(scale)
         statuses.append(FigureStatus(
-            spec=spec, digest=digest, fresh=fresh,
-            cached_points=cached, total_points=len(points),
+            spec=spec,
+            fresh=(state.get(spec.name) == _keyset_digest(keys)
+                   and (out_dir / f"{spec.name}.txt").exists()),
+            cached_points=sum(1 for key in keys if key in cache),
+            total_points=len(keys),
         ))
     return statuses
 
@@ -304,48 +315,26 @@ def regenerate(
     """Regenerate stale figures; returns ``(status, action)`` per figure.
 
     *action* is ``"fresh"`` (skipped — key set unchanged and the table
-    exists), or ``"rebuilt"``.  Missing points are simulated and stored
-    in *cache*; points shared between figures simulate once.
+    exists), or ``"rebuilt"``.  The points every stale figure lacks run
+    in one orchestrator run and land in *cache*.
     """
     def say(message: str) -> None:
         if progress is not None:
             progress(message)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     statuses = plan(cache, out_dir, scale, only=only)
-    state = _load_state(out_dir)
-    results: Dict[str, SimulationResult] = {}
+    stale = [status.spec for status in statuses if force or not status.fresh]
+    if stale:
+        say("simulating the uncached points of "
+            + ", ".join(spec.name for spec in stale))
+        build(stale, cache, out_dir, scale)
     outcome = []
     for status in statuses:
-        spec = status.spec
-        if status.fresh and not force:
-            say(f"{spec.name}: fresh (key set unchanged), skipping")
+        if status.spec in stale:
+            outcome.append((status, "rebuilt"))
+            say(f"{status.spec.name}: rebuilt ({status.total_points} "
+                f"points, {status.cached_points} cached)")
+        else:
             outcome.append((status, "fresh"))
-            continue
-        sweep: Sweep = {}
-        for workload, system, key in spec.points(scale):
-            result = results.get(key)
-            if result is None:
-                result = cache.get(key)
-            if result is None:
-                say(f"{spec.name}: simulating {workload}/{system}")
-                result = run_benchmark(
-                    workload, system, scale=scale, seed=_SEED,
-                )
-                cache.put(key, result,
-                          meta={"workload": workload, "system": system})
-            results[key] = result
-            sweep.setdefault(workload, {})[system] = result
-        table = spec.render(sweep)
-        (out_dir / f"{spec.name}.txt").write_text(
-            table + "\n", encoding="utf-8"
-        )
-        state[spec.name] = status.digest
-        _state_path(out_dir).write_text(
-            json.dumps(state, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        say(f"{spec.name}: rebuilt ({status.total_points} points, "
-            f"{status.cached_points} cached)")
-        outcome.append((status, "rebuilt"))
+            say(f"{status.spec.name}: fresh (key set unchanged), skipping")
     return outcome

@@ -16,6 +16,7 @@ import argparse
 from typing import List, Optional
 
 from repro.analysis import format_table
+from repro.analysis.figures import FIGURES, figure_scale, plan, regenerate
 from repro.core.controllers import DEFAULT_METADATA_BASE
 from repro.core.metadata_cache import MetadataCache
 from repro.fastpath.bench import PINS, result_digest
@@ -157,7 +158,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     import os
     import pathlib
 
-    from repro.analysis.figures import figure_scale, plan, regenerate
     from repro.orchestrator import ResultCache
 
     cache_dir = args.cache_dir or os.environ.get(
@@ -928,8 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
              "benchmarks/cache)",
     )
     figures_parser.add_argument(
-        "--only", nargs="+", default=None, metavar="FIGURE",
-        help="restrict to the named figure(s)",
+        "--only", nargs="+", default=None, choices=list(FIGURES),
+        metavar="FIGURE",
+        help=f"restrict to the named figure(s): {', '.join(FIGURES)}",
     )
     figures_parser.add_argument(
         "--force", action="store_true",

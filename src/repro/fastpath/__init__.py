@@ -63,16 +63,13 @@ class Gate:
     the two modes within one run.
     """
 
-    def __init__(self, env_var: str, available: bool = True) -> None:
+    def __init__(self, env_var: str) -> None:
         raw = os.environ.get(env_var, "1").strip().lower()
         self._on = raw not in ("0", "false", "off", "no")
-        #: False when the gated path cannot run here at all; the gate
-        #: then stays off whatever is set.
-        self.available = available
 
     def enabled(self) -> bool:
         """Whether new components should take the gated path."""
-        return self._on and self.available
+        return self._on
 
     def set_enabled(self, value: bool) -> None:
         """Globally enable/disable the gated path for components built

@@ -34,10 +34,6 @@ Control is the fastpath's :class:`~repro.fastpath.Gate`:
   vector path process-wide before import;
 * code: :func:`set_enabled`, or :func:`overridden` for scoped toggling
   (used by the differential tests and ``repro profile --vector off``).
-
-The gate also degrades gracefully: :func:`available` checks that numpy
-imports, and :func:`enabled` is False without it, so every caller keeps
-its scalar fallback.
 """
 
 from __future__ import annotations
@@ -45,27 +41,13 @@ from __future__ import annotations
 from repro.fastpath import Gate
 
 __all__ = [
-    "available",
     "enabled",
     "overridden",
     "set_enabled",
 ]
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except Exception:  # pragma: no cover - exercised only without numpy
-        return False
-    return True
-
-
-_gate = Gate("REPRO_VECTOR", available=_numpy_available())
+_gate = Gate("REPRO_VECTOR")
 enabled = _gate.enabled
 set_enabled = _gate.set_enabled
 overridden = _gate.overridden
-
-
-def available() -> bool:
-    """Whether the vector kernels can run at all (numpy imports)."""
-    return _gate.available

@@ -312,14 +312,15 @@ class Orchestrator:
             if manifest is not None:
                 manifest.chaos = plan
 
-        jobs_requested = self.jobs
         jobs = self.jobs
         if jobs == "auto":
             jobs = auto_jobs(
                 pending=len(specs),
                 memory_per_job_bytes=estimate_job_memory(specs),
             )
-        self.jobs = jobs  #: resolved count (telemetry reports it)
+        #: This run's resolved worker count; ``self.jobs`` keeps what the
+        #: caller asked for, so a reused ``"auto"`` instance re-sizes.
+        self._workers = jobs
 
         backend_kind = (
             self.pool if isinstance(self.pool, str)
@@ -327,7 +328,7 @@ class Orchestrator:
         )
         telemetry = RunTelemetry(
             path=telemetry_path, progress=progress, workers=jobs,
-            backend=backend_kind, jobs_requested=jobs_requested,
+            backend=backend_kind, jobs_requested=self.jobs,
         )
         keys = [spec.key() for spec in specs]
         outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
@@ -551,7 +552,7 @@ class Orchestrator:
             finished = counters.finished
             return {
                 "elapsed_s": round(elapsed, 3),
-                "workers": self.jobs,
+                "workers": self._workers,
                 "backend": backend_kind,
                 "counters": {
                     "total": counters.total,
@@ -567,7 +568,7 @@ class Orchestrator:
                     round(finished / elapsed, 4) if elapsed > 0 else 0.0
                 ),
                 "utilization": round(
-                    counters.utilization(elapsed, self.jobs), 4
+                    counters.utilization(elapsed, self._workers), 4
                 ),
                 "cache_hit_rate": round(counters.cache_hit_rate, 4),
                 "straggler_s": round(straggler, 3),
@@ -770,9 +771,9 @@ class Orchestrator:
             now = time.monotonic()
 
             # Launch every ready job while worker slots are free.
-            if len(running) < self.jobs and pending:
+            if len(running) < self._workers and pending:
                 held = []
-                while pending and len(running) < self.jobs:
+                while pending and len(running) < self._workers:
                     item = pending.popleft()
                     if item.ready_at > now:
                         held.append(item)

@@ -234,12 +234,6 @@ class WarmPoolBackend:
         self._bank_root = str(bank_root) if bank_root is not None else None
         self._recycle_after = recycle_after
         self.timing = timing
-        if ctx.get_start_method() == "fork":
-            # Workers inherit the parent's modules: import what jobs
-            # would otherwise import in every fresh worker.
-            from repro.orchestrator.jobs import preload_job_imports
-
-            preload_job_imports()
         self._idle: List[_WarmWorker] = []
         #: every live worker, busy or idle (abort() must reach them all).
         self._workers: List[_WarmWorker] = []
@@ -253,6 +247,14 @@ class WarmPoolBackend:
     # -- pool plumbing --------------------------------------------------
 
     def _spawn_worker(self) -> _WarmWorker:
+        if self._ctx.get_start_method() == "fork":
+            # Workers inherit the parent's modules: import what jobs
+            # would otherwise import in every fresh worker.  Deferred to
+            # the first spawn, so a run served from the cache imports
+            # none of it; later calls find every module loaded.
+            from repro.orchestrator.jobs import preload_job_imports
+
+            preload_job_imports()
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_warm_worker_main,

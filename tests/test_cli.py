@@ -26,6 +26,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--system", "warp-drive"])
 
+    def test_unknown_figure_exits_with_the_known_names(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figures", "--only", "fig99_nope"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "fig99_nope" in err
+        assert "fig12_speedup" in err
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -26,7 +26,9 @@ from repro.orchestrator import (
     JobSpec,
     Orchestrator,
     WorkerStartupError,
+    auto_jobs,
 )
+from repro.orchestrator.pool import estimate_job_memory
 from repro.orchestrator.workers import WarmPoolBackend
 from repro.obs.crashdump import load_crash_dump, replay_from_dump
 from repro.sim.runner import ExperimentScale
@@ -331,8 +333,23 @@ class TestFaultPaths:
         orchestrator = Orchestrator(jobs="auto", pool="warm", runner=pid_run)
         report = orchestrator.run([_spec(seed=s) for s in (1, 2)])
         assert report.ok
-        assert isinstance(orchestrator.jobs, int)
-        assert orchestrator.jobs >= 1
+        assert isinstance(report.summary["workers"], int)
+        assert report.summary["workers"] >= 1
+
+    def test_reused_auto_instance_resizes_every_run(self):
+        """A 1-spec run must not pin a reused ``"auto"`` orchestrator to
+        one worker for its next, larger batch."""
+        orchestrator = Orchestrator(jobs="auto", pool="warm", runner=pid_run)
+        assert orchestrator.run([_spec(seed=1)]).summary["workers"] == 1
+        specs = [_spec(seed=s) for s in range(2, 6)]
+        report = orchestrator.run(specs)
+        assert report.ok
+        assert orchestrator.jobs == "auto"
+        assert report.summary["jobs_requested"] == "auto"
+        assert report.summary["workers"] == auto_jobs(
+            pending=len(specs),
+            memory_per_job_bytes=estimate_job_memory(specs),
+        )
 
     def test_summary_records_backend_and_requested_jobs(self, tmp_path):
         """`--jobs auto` telemetry keeps what was asked for (auto), what
@@ -351,4 +368,5 @@ class TestFaultPaths:
         assert summary["event"] == "summary"
         assert summary["backend"] == "warm"
         assert summary["jobs_requested"] == "auto"
-        assert summary["workers"] == orchestrator.jobs
+        assert summary["workers"] == report.summary["workers"]
+        assert isinstance(summary["workers"], int)
