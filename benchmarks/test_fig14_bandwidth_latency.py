@@ -5,8 +5,9 @@ which translates into ~14 % lower average memory read latency.  Reuses
 the Fig. 12 simulation sweep.
 
 Note on the bandwidth metric: Fig. 14(a) plots *useful* line bandwidth.
-With compression the bytes moved per line shrink, so we report demand
-lines served per kilocycle (line throughput) plus raw bytes/cycle.
+With compression the bytes moved per line shrink, so the table reports
+demand lines served per kilocycle (line throughput) and mean read
+latency, each relative to the baseline.
 """
 
 from conftest import figure_rows

@@ -53,6 +53,10 @@ _ALL_SYSTEMS = ("baseline", "metadata_cache", "attache", "ideal")
 #: A table's rows: one per workload, then the GEOMEAN row.
 Rows = List[list]
 
+#: A figure point by ``(workload, system)``: every figure point runs at
+#: the figures' seed with default parameters, so these two name it.
+Cell = Tuple[str, str]
+
 
 def figure_scale(preset: str = "tiny") -> ExperimentScale:
     """The simulation scale behind each figure point.
@@ -109,25 +113,22 @@ class FigureSpec:
     row: Callable[[Dict[str, SimulationResult]], list]
     text: Callable[[Rows], str]
 
+    def cells(self) -> List[Cell]:
+        """The ``(workload, system)`` points this figure consumes,
+        workload-major."""
+        return [(workload, system) for workload in all_benchmark_names()
+                for system in self.systems]
+
     def points(self, scale: ExperimentScale) -> List[JobSpec]:
         """The points this figure consumes, workload-major."""
-        return [
-            figure_point(workload, system, scale)
-            for workload in all_benchmark_names()
-            for system in self.systems
-        ]
+        return [figure_point(*cell, scale) for cell in self.cells()]
 
-    def keys(self, scale: ExperimentScale) -> List[str]:
-        return [point.key() for point in self.points(scale)]
-
-    def rows(self, results: Dict[str, SimulationResult],
-             scale: ExperimentScale) -> Rows:
-        """One row per workload from *results* (by point key), then the
+    def rows(self, results: Dict[Cell, SimulationResult]) -> Rows:
+        """One row per workload from *results* (by cell), then the
         GEOMEAN row."""
         rows = [
             [workload] + self.row({
-                system: results[figure_point(workload, system, scale).key()]
-                for system in self.systems
+                system: results[workload, system] for system in self.systems
             })
             for workload in all_benchmark_names()
         ]
@@ -216,8 +217,13 @@ def simulate(points: Sequence[JobSpec],
     pool and are stored into it.  Points that share a key run once.
     Raises :class:`RuntimeError` when any point fails.
     """
-    unique = list({point.key(): point for point in points}.values())
-    report = Orchestrator(jobs="auto", cache=cache).run(unique)
+    return _run({point.key(): point for point in points}, cache)
+
+
+def _run(points: Dict[str, JobSpec],
+         cache: ResultCache) -> Dict[str, SimulationResult]:
+    """:func:`simulate` on points already deduplicated by key."""
+    report = Orchestrator(jobs="auto", cache=cache).run(list(points.values()))
     if report.failures:
         raise RuntimeError("figure points failed: " + "; ".join(
             f"{outcome.spec.describe()}: {outcome.error}"
@@ -226,8 +232,19 @@ def simulate(points: Sequence[JobSpec],
     return {outcome.key: outcome.result for outcome in report.outcomes}
 
 
-def _keyset_digest(keys: Sequence[str]) -> str:
-    return hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
+def _point_keys(specs: Sequence[FigureSpec],
+                scale: ExperimentScale) -> Dict[Cell, str]:
+    """The key of every distinct point of *specs*, computed once each:
+    the figures share most of their points."""
+    cells = dict.fromkeys(cell for spec in specs for cell in spec.cells())
+    return {cell: figure_point(*cell, scale).key() for cell in cells}
+
+
+def _keyset_digest(spec: FigureSpec, keys: Dict[Cell, str]) -> str:
+    """Digest of *spec*'s key set, in the figure's point order."""
+    return hashlib.sha256("".join(
+        keys[cell] for cell in spec.cells()
+    ).encode("ascii")).hexdigest()
 
 
 def _load_state(out_dir: pathlib.Path) -> Dict[str, str]:
@@ -247,18 +264,20 @@ def build(
     """Simulate what *specs* need, then write their tables: the one
     writer of a figure table, which records the table's key-set digest
     in the state file.  Returns each figure's rows by name."""
-    results = simulate(
-        [point for spec in specs for point in spec.points(scale)], cache
+    keys = _point_keys(specs, scale)
+    results = _run(
+        {key: figure_point(*cell, scale) for cell, key in keys.items()}, cache
     )
+    by_cell = {cell: results[key] for cell, key in keys.items()}
     out_dir.mkdir(parents=True, exist_ok=True)
     state = _load_state(out_dir)
     built = {}
     for spec in specs:
-        built[spec.name] = rows = spec.rows(results, scale)
+        built[spec.name] = rows = spec.rows(by_cell)
         (out_dir / f"{spec.name}.txt").write_text(
             spec.text(rows) + "\n", encoding="utf-8"
         )
-        state[spec.name] = _keyset_digest(spec.keys(scale))
+        state[spec.name] = _keyset_digest(spec, keys)
     (out_dir / STATE_FILE).write_text(
         json.dumps(state, indent=2, sort_keys=True) + "\n", encoding="utf-8",
     )
@@ -289,19 +308,20 @@ def plan(
             f"(known: {', '.join(FIGURES)})"
         )
     state = _load_state(out_dir)
-    statuses = []
-    for spec in FIGURES.values():
-        if only and spec.name not in only:
-            continue
-        keys = spec.keys(scale)
-        statuses.append(FigureStatus(
+    specs = [spec for spec in FIGURES.values()
+             if not only or spec.name in only]
+    keys = _point_keys(specs, scale)
+    cached = {cell for cell, key in keys.items() if key in cache}
+    return [
+        FigureStatus(
             spec=spec,
-            fresh=(state.get(spec.name) == _keyset_digest(keys)
+            fresh=(state.get(spec.name) == _keyset_digest(spec, keys)
                    and (out_dir / f"{spec.name}.txt").exists()),
-            cached_points=sum(1 for key in keys if key in cache),
-            total_points=len(keys),
-        ))
-    return statuses
+            cached_points=sum(1 for cell in spec.cells() if cell in cached),
+            total_points=len(spec.cells()),
+        )
+        for spec in specs
+    ]
 
 
 def regenerate(

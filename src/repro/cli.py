@@ -292,15 +292,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # reference path every counter is zero and the table used to print
     # a confusing block of empty caches.
     if fastpath_on:
-        for name in ("classify", "keystream", "verified_reads"):
-            counters = perf.get(name)
-            if counters is not None:
-                rows.append([
-                    f"{name} cache",
-                    f"{counters['hits']}/"
-                    f"{counters['hits'] + counters['misses']}"
-                    f" hits ({100 * counters['hit_rate']:.1f}%)",
-                ])
+        counters = perf.get("keystream")
+        if counters is not None:
+            rows.append([
+                "keystream cache",
+                f"{counters['hits']}/{counters['hits'] + counters['misses']}"
+                f" hits ({100 * counters['hit_rate']:.1f}%)",
+            ])
         if "full_encodes" in perf:
             rows.append(["full encodes", str(perf["full_encodes"])])
         scheduler = perf.get("scheduler")

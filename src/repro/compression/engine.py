@@ -6,13 +6,13 @@ compressed with both BDI and FPC and the smaller result wins.  A block is
 room for the 2-byte Metadata-Header inside a 32-byte sub-rank transfer.
 
 Compression runs on every simulated write, so the engine memoises results
-by line content with a bounded FIFO cache — simulated workloads reuse
-block values heavily and this keeps the Python simulator tractable.
+by line content in one bounded memo, cleared wholesale when full.  Few
+line values repeat: measured at seed 2018, 4-13 % of the memo's lookups
+hit (docs/PERFORMANCE.md, "Measured memo hit rates").
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -65,7 +65,7 @@ class CompressionEngine:
         self,
         algorithms: Optional[Sequence[CompressionAlgorithm]] = None,
         target_size: int = SUBRANK_PAYLOAD_BYTES,
-        cache_entries: int = 65536,
+        cache_entries: int = fastpath.MEMO_ENTRIES,
     ) -> None:
         if target_size <= 0 or target_size > CACHELINE_BYTES:
             raise ValueError(f"target_size out of range: {target_size}")
@@ -93,21 +93,15 @@ class CompressionEngine:
             tuple(names),
             target_size,
         )
-        # Both caches are pure functions of line content, so engines of
-        # one fingerprint may share them (fastpath.share_memos); the
-        # capacity and the entry shape (size-only winners exist only on
-        # the fast path) complete the memo's fingerprint.
-        memo_key = (self.fingerprint, cache_entries, self._size_fns is not None)
-        self._cache: "OrderedDict[bytes, Optional[CompressedBlock]]" = (
-            fastpath.memo("compression.content", memo_key, OrderedDict)
+        #: content -> best block, or ``None`` for an incompressible line.
+        #: A pure function of line content, so engines of one fingerprint
+        #: may share it (fastpath.share_memos); the capacity and the path
+        #: complete the memo's fingerprint, so a reference-path engine
+        #: never reads a fast-path entry.
+        self._cache: Dict[bytes, Optional[CompressedBlock]] = fastpath.memo(
+            "compression.content",
+            (self.fingerprint, cache_entries, self._size_fns is not None),
         )
-        #: content -> (size, algorithm index, token) of the winner, or
-        #: ``None`` for an incompressible line.  Kept separate from
-        #: ``_cache`` so size-only queries never force materialisation.
-        self._size_cache: "OrderedDict[bytes, Optional[Tuple[int, int, object]]]" = (
-            fastpath.memo("compression.size", memo_key, OrderedDict)
-        )
-        self.perf_classify = fastpath.CacheCounters()
         self.perf_full_encodes = 0
         #: name -> fast prefix decoder, for algorithms that have one.
         self._prefix_decoders = (
@@ -153,32 +147,26 @@ class CompressionEngine:
 
     def is_compressible(self, data: bytes) -> bool:
         """True when *data* compresses to at most the target size."""
-        if self._size_fns is not None:
-            if self._cache_entries:
-                cached = self._size_cache.get(data)
-                if cached is not None or data in self._size_cache:
-                    self.perf_classify.hits += 1
-                    return cached is not None
-            # The boolean only needs *one* algorithm under the target, so
-            # stop at the first fit instead of racing all of them.  The
-            # winner stays unknown then, so only the negative (all
-            # classifiers over target — exactly a ``None`` winner) is
-            # written back to the size cache.
-            self.perf_classify.misses += 1
-            target = self._target_size
-            for size_fn in self._size_fns:
-                # Classifiers *may* return over-target sizes instead of
-                # None (the target is an early-stop hint, not a filter),
-                # so the fit test must re-check the size.
-                result = size_fn(data, target)
-                if result is not None and result[0] <= target:
-                    return True
-            if self._cache_entries:
-                if len(self._size_cache) >= self._cache_entries:
-                    self._size_cache.clear()
-                self._size_cache[data] = None
-            return False
-        return self._lookup(data) is not None
+        if self._size_fns is None:
+            return self._lookup(data) is not None
+        if self._cache_entries:
+            cached = self._cache.get(data)
+            if cached is not None or data in self._cache:
+                return cached is not None
+        # The boolean only needs *one* algorithm under the target, so stop
+        # at the first fit instead of racing all of them.  The winner stays
+        # unknown then, so only the negative (all classifiers over target,
+        # exactly a ``None`` best block) is written back to the memo.
+        target = self._target_size
+        for size_fn in self._size_fns:
+            # Classifiers *may* return over-target sizes instead of None
+            # (the target is an early-stop hint, not a filter), so the fit
+            # test must re-check the size.
+            result = size_fn(data, target)
+            if result is not None and result[0] <= target:
+                return True
+        self._remember(data, None)
+        return False
 
     def is_compressible_many(self, matrix):
         """Per-row :meth:`is_compressible` over an (N, 64) uint8 matrix.
@@ -217,9 +205,6 @@ class CompressionEngine:
 
     def compressed_size(self, data: bytes) -> int:
         """Best payload size, or the full line size if incompressible."""
-        if self._size_fns is not None:
-            winner = self._classify(data)
-            return winner[0] if winner is not None else CACHELINE_BYTES
         best = self._lookup(data)
         return best.size if best is not None else CACHELINE_BYTES
 
@@ -243,24 +228,24 @@ class CompressionEngine:
     # ------------------------------------------------------------------
 
     def _lookup(self, data: bytes) -> Optional[CompressedBlock]:
-        # Both caches memoise pure functions of the content, so the
-        # eviction policy cannot affect results; the fast path therefore
-        # skips the LRU recency update and evicts wholesale at capacity.
-        fast = self._size_fns is not None
         if self._cache_entries:
             cached = self._cache.get(data)
             if cached is not None or data in self._cache:
-                if not fast:
-                    self._cache.move_to_end(data)
                 return cached
-        best = self._materialize_best(data) if fast else self._compress_uncached(data)
+        if self._size_fns is not None:
+            best = self._materialize_best(data)
+        else:
+            best = self._compress_uncached(data)
+        self._remember(data, best)
+        return best
+
+    def _remember(self, data: bytes, best: Optional[CompressedBlock]) -> None:
+        # The memo holds a pure function of the content, so the eviction
+        # policy cannot affect results: it is cleared wholesale when full.
         if self._cache_entries:
-            if fast and len(self._cache) >= self._cache_entries:
+            if len(self._cache) >= self._cache_entries:
                 self._cache.clear()
             self._cache[data] = best
-            if not fast and len(self._cache) > self._cache_entries:
-                self._cache.popitem(last=False)
-        return best
 
     def _compress_uncached(self, data: bytes) -> Optional[CompressedBlock]:
         best: Optional[CompressedBlock] = None
@@ -282,12 +267,6 @@ class CompressionEngine:
         below the target compete, strict-less-than keeps the earliest
         algorithm on ties.
         """
-        if self._cache_entries:
-            cached = self._size_cache.get(data)
-            if cached is not None or data in self._size_cache:
-                self.perf_classify.hits += 1
-                return cached
-        self.perf_classify.misses += 1
         winner: Optional[Tuple[int, int, object]] = None
         target = self._target_size
         for index, size_fn in enumerate(self._size_fns):
@@ -297,10 +276,6 @@ class CompressionEngine:
             if result is not None and result[0] <= target:
                 if winner is None or result[0] < winner[0]:
                     winner = (result[0], index, result[1])
-        if self._cache_entries:
-            if len(self._size_cache) >= self._cache_entries:
-                self._size_cache.clear()
-            self._size_cache[data] = winner
         return winner
 
     def _materialize_best(self, data: bytes) -> Optional[CompressedBlock]:

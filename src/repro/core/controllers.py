@@ -499,13 +499,6 @@ class AttacheController(MemoryController, _CompressedStoreMixin):
             ra_base, memory.config.organization.total_bytes
         )
         self._stored_lines: Dict[int, StoredLine] = {}
-        # Verified-read memo: once a stored image has been decoded and
-        # verified, re-reads of the *same* image (by identity — every
-        # write installs a fresh StoredLine object) are pure repeats; the
-        # fast path skips the decode and replays the stats it would bump.
-        self._fastpath = fastpath.enabled()
-        self._verified_reads: Dict[int, StoredLine] = {}
-        self.perf_verified_reads = fastpath.CacheCounters()
         # BLEM's encode and decode are pure functions of their arguments
         # under the BLEM fingerprint, so the fast path memoises both:
         # (address, content, primary) -> (image, spilled bit) and
@@ -513,11 +506,12 @@ class AttacheController(MemoryController, _CompressedStoreMixin):
         # one fingerprint may share them (fastpath.share_memos); a hit
         # replays the BlemStats counters the call would have bumped.
         fingerprint = self.blem.fingerprint
+        fast = fastpath.enabled()
         self._encodes: Optional[dict] = (
-            fastpath.memo("blem.encode", fingerprint) if self._fastpath else None
+            fastpath.memo("blem.encode", fingerprint) if fast else None
         )
         self._decodes: Optional[dict] = (
-            fastpath.memo("blem.decode", fingerprint) if self._fastpath else None
+            fastpath.memo("blem.decode", fingerprint) if fast else None
         )
 
     # ------------------------------------------------------------------
@@ -586,16 +580,6 @@ class AttacheController(MemoryController, _CompressedStoreMixin):
 
     def _decode_and_verify(self, address: int, stored: StoredLine) -> None:
         line = self._line_of(address)
-        if self._fastpath and self._verified_reads.get(line) is stored:
-            # Same image, same address: the decode and its verification
-            # are pure repeats.  Replay the counters the full path would
-            # have bumped, the Replacement-Area read included.
-            self.perf_verified_reads.hits += 1
-            if stored.collision:
-                self.replacement_area.stats.reads += 1
-            self._replay_read_counters(stored)
-            return
-        self.perf_verified_reads.misses += 1
         spilled = (
             self.replacement_area.read_bit(line) if stored.collision else None
         )
@@ -619,8 +603,6 @@ class AttacheController(MemoryController, _CompressedStoreMixin):
                     f"data integrity violation at line {line:#x}: "
                     "BLEM decode does not match written content"
                 )
-        if self._fastpath:
-            self._verified_reads[line] = stored
 
     # ------------------------------------------------------------------
     # Demand path

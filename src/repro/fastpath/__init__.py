@@ -38,12 +38,13 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterator, Optional, TypeVar
+from typing import Dict, Hashable, Iterator, Optional
 
 __all__ = [
     "CacheCounters",
     "Gate",
     "MEMO_ENTRIES",
+    "MEMO_FINGERPRINTS",
     "SchedulerCounters",
     "enabled",
     "memo",
@@ -112,10 +113,14 @@ overridden = _gate.overridden
 #: lines, which this covers while bounding each memo's memory.
 MEMO_ENTRIES = 65536
 
-_T = TypeVar("_T")
+#: Shared memos the registry keeps per memo name; a new fingerprint past
+#: this starts that name over.  A warm worker serving many seeds builds
+#: data models (and so memo fingerprints) per (profile, seed), so without
+#: the bound it would keep every model's memos until it recycles.
+MEMO_FINGERPRINTS = 16
 
-#: ``(name, fingerprint) -> memo`` while sharing is on, else ``None``.
-_shared_memos: Optional[Dict[tuple, object]] = None
+#: ``name -> {fingerprint -> memo}`` while sharing is on, else ``None``.
+_shared_memos: Optional[Dict[str, Dict[Hashable, dict]]] = None
 
 
 def share_memos(on: bool) -> None:
@@ -129,17 +134,19 @@ def share_memos(on: bool) -> None:
         _shared_memos = {}
 
 
-def memo(name: str, fingerprint: Hashable,
-         factory: Callable[[], _T] = dict) -> _T:
+def memo(name: str, fingerprint: Hashable) -> dict:
     """The memo an owner should use: the process-wide one for
     ``(name, fingerprint)`` while sharing is on, else a fresh private
-    ``factory()``."""
+    dict.  Starting a name over drops its shared memos from the
+    registry only; owners already holding one keep using it."""
     if _shared_memos is None:
-        return factory()
-    key = (name, fingerprint)
-    shared = _shared_memos.get(key)
+        return {}
+    memos = _shared_memos.setdefault(name, {})
+    shared = memos.get(fingerprint)
     if shared is None:
-        shared = _shared_memos[key] = factory()
+        if len(memos) >= MEMO_FINGERPRINTS:
+            memos.clear()
+        shared = memos[fingerprint] = {}
     return shared
 
 

@@ -325,7 +325,7 @@ def prewarm_timed_phase(workload, controller, offset: int, count: int) -> None:
         model = regions[region_index][2]
         member_lines = unique_lines[member].astype(np.uint64)
         member_versions = versions[member]
-        limit = model._content_cache_limit - _MEMO_HEADROOM
+        limit = MEMO_ENTRIES - _MEMO_HEADROOM
         if blem is not None:
             content_cache = model._content_cache
             missing = np.fromiter(

@@ -384,14 +384,10 @@ class Simulator:
         }
         engine = getattr(controller, "_engine", None)
         if engine is not None:
-            perf["classify"] = engine.perf_classify.to_dict()
             perf["full_encodes"] = engine.perf_full_encodes
         blem = getattr(controller, "blem", None)
         if blem is not None:
             perf["keystream"] = blem._scrambler.perf_keystream.to_dict()
-        verified = getattr(controller, "perf_verified_reads", None)
-        if verified is not None:
-            perf["verified_reads"] = verified.to_dict()
         return perf
 
     def _collect(self) -> SimulationResult:

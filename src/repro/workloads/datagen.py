@@ -82,17 +82,28 @@ class DataModel:
         self._seed = seed & ((1 << 64) - 1)
         self._engine = engine if engine is not None else CompressionEngine()
         self._versions: Dict[int, int] = {}
+        # The memos below hold pure functions of (seed, profile, line,
+        # version) under the engine's fingerprint, so models of one
+        # fingerprint may share them (fastpath.share_memos): a warm worker
+        # running several jobs of one workload then generates each line's
+        # content once instead of once per job.  The mutable per-run
+        # state (``_versions``) is never shared.
+        fingerprint = (profile, self._seed, self._engine.fingerprint)
         #: line -> (highest version counted, flips up to that version);
         #: keeps `line_class` O(1) amortised as versions grow.
-        self._flip_cache: Dict[int, Tuple[int, int]] = {}
+        self._flip_cache: Dict[int, Tuple[int, int]] = fastpath.memo(
+            "datagen.flips", fingerprint
+        )
         #: (line, version) -> generated content; hot lines are re-read
         #: constantly by the simulator and generation is expensive.
-        self._content_cache: Dict[Tuple[int, int], bytes] = {}
-        self._content_cache_limit = 65536
+        self._content_cache: Dict[Tuple[int, int], bytes] = fastpath.memo(
+            "datagen.content", fingerprint
+        )
         #: (line, version) -> class; line_class is pure and re-queried by
         #: the warm-up trainer and every content-cache miss.
         self._class_cache: Dict[Tuple[int, int], bool] = (
-            {} if fastpath.enabled() else None
+            fastpath.memo("datagen.class", fingerprint)
+            if fastpath.enabled() else None
         )
         self._total_weight = sum(w for __, w in self._PATTERN_WEIGHTS)
 
@@ -103,26 +114,6 @@ class DataModel:
     @property
     def engine(self) -> CompressionEngine:
         return self._engine
-
-    def adopt_shared_caches(
-        self,
-        content: Dict[Tuple[int, int], bytes],
-        flips: Dict[int, Tuple[int, int]],
-        classes: Dict[Tuple[int, int], bool] = None,
-    ) -> None:
-        """Swap the pure memo caches for shared (cross-model) dicts.
-
-        Every entry these caches hold is a pure function of
-        ``(seed, profile, line, version)``, so two models constructed
-        with the same seed and profile may share them freely: a warm
-        worker running several jobs of one workload then generates each
-        line's content once instead of once per job.  The mutable
-        per-run state (``_versions``) is never shared.
-        """
-        self._content_cache = content
-        self._flip_cache = flips
-        if classes is not None and self._class_cache is not None:
-            self._class_cache = classes
 
     # ------------------------------------------------------------------
     # Versioning
@@ -170,7 +161,7 @@ class DataModel:
         base = self._base_class(page, line_address)
         result = base ^ (self._flips_up_to(line_address, version) % 2 == 1)
         if cache is not None:
-            if len(cache) >= self._content_cache_limit:
+            if len(cache) >= fastpath.MEMO_ENTRIES:
                 cache.clear()
             cache[(line_address, version)] = result
         return result
@@ -212,7 +203,7 @@ class DataModel:
         for salt in range(16):
             data = self._generate(line_address, version, salt, compressible)
             if self._engine.is_compressible(data) == compressible:
-                if len(self._content_cache) >= self._content_cache_limit:
+                if len(self._content_cache) >= fastpath.MEMO_ENTRIES:
                     self._content_cache.clear()
                 self._content_cache[cache_key] = data
                 return data

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from repro import fastpath
 from repro.cpu.trace import MemOp, TraceRecord
 from repro.util.bitops import CACHELINE_BYTES
 from repro.util.rng import DeterministicRng
@@ -97,7 +98,7 @@ class CompositeDataModel:
             # Out-of-region lines (e.g. never-touched metadata space)
             # default to the first model's statistics.
             model = self._regions[0][2]
-        if len(self._model_cache) >= 65536:
+        if len(self._model_cache) >= fastpath.MEMO_ENTRIES:
             self._model_cache.clear()
         self._model_cache[line_address] = model
         return model

@@ -75,6 +75,61 @@ class TestCommands:
         assert "metadata hit rate" in out
         assert "COPR accuracy" in out
 
+    def test_figures_list_on_an_empty_cache_simulates_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.analysis import figures
+
+        def no_orchestrator(*args, **kwargs):
+            raise AssertionError("--list must not simulate")
+
+        monkeypatch.setattr(figures, "Orchestrator", no_orchestrator)
+        cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
+        assert main(["figures", "--list", "--cache-dir", str(cache_dir),
+                     "--out", str(out_dir)]) == 0
+        rows = [fields for fields in map(
+            str.split, capsys.readouterr().out.splitlines()
+        ) if fields and fields[0] in figures.FIGURES]
+        assert [(row[0], row[-2], row[-1]) for row in rows] == [
+            ("fig12_speedup", "stale", "0/80"),
+            ("fig13_energy", "stale", "0/80"),
+            ("fig14_bandwidth_latency", "stale", "0/40"),
+        ]
+        assert not any(cache_dir.iterdir())
+        assert not out_dir.exists()
+
+    def test_profile_functional_digest_is_the_same_in_both_vector_modes(
+            self, capsys):
+        pytest.importorskip("numpy")
+        digests = {}
+        for vector in ("on", "off"):
+            assert main([
+                "profile", "--functional", "--cores", "2", "--records", "200",
+                "--scale-factor", "64", "--vector", vector,
+            ]) == 0
+            out = capsys.readouterr().out
+            assert ("disabled (scalar event loop" in out) == (vector == "off")
+            digests[vector] = next(
+                line.split()[-1] for line in out.splitlines()
+                if line.startswith("result digest")
+            )
+        assert digests == {"on": "1fe3093f41237110", "off": "1fe3093f41237110"}
+
+    def test_metrics_functional_prints_the_counter_table(self, capsys):
+        assert main([
+            "metrics", "--functional", "--benchmark", "mcf", "--cores", "2",
+            "--records", "200", "--scale-factor", "64",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "mcf: functional-pass counters"
+        totals = {
+            fields[0]: int(fields[1]) for fields in map(str.split, lines[3:])
+        }
+        assert totals["demand_reads"] > 0
+        assert totals["copr_predictions"] == totals["demand_reads"]
+        assert totals["metadata_accesses"] == totals["demand_reads"]
+        assert (totals["metadata_hits"] + totals["metadata_installs"]
+                == totals["metadata_accesses"])
+
     def test_unknown_benchmark_raises(self):
         with pytest.raises(KeyError):
             main(["run", "--benchmark", "doom", "--records", "10",

@@ -14,7 +14,7 @@ from repro.analysis.figures import (
     regenerate,
     simulate,
 )
-from repro.orchestrator import Orchestrator, ResultCache
+from repro.orchestrator import JobSpec, Orchestrator, ResultCache
 from repro.sim.runner import ExperimentScale
 
 MICRO = ExperimentScale(name="micro", factor=64, cores=2,
@@ -105,6 +105,25 @@ def test_a_table_written_at_another_scale_reads_stale(filled_cache,
                        name: "rebuilt"}
     assert (tmp_path / f"{name}.txt").read_text(encoding="utf-8") \
         == micro_table
+
+
+def test_each_distinct_point_is_keyed_once(filled_cache, tmp_path,
+                                          monkeypatch):
+    calls = []
+    key = JobSpec.key
+
+    def counting_key(self, *args, **kwargs):
+        calls.append(self.describe())
+        return key(self, *args, **kwargs)
+
+    monkeypatch.setattr(JobSpec, "key", counting_key)
+    plan(filled_cache, tmp_path, MICRO)
+    # Figs. 12-14 list 200 points, of which 80 are distinct.
+    assert len(calls) == len(set(calls)) == 80
+    calls.clear()
+    regenerate(filled_cache, tmp_path, MICRO, force=True)
+    # Once in plan, once in build and once in the orchestrator's run.
+    assert len(calls) <= 3 * 80
 
 
 def test_a_failed_point_raises(tmp_path):

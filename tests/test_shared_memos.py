@@ -1,11 +1,11 @@
 """Tests for the pure-memo registry (``repro.fastpath.memo``).
 
 Warm sweep workers switch sharing on (``fastpath.share_memos``), so the
-jobs of one workload reuse each other's compression results,
-keystreams, BLEM images and decodes, address decodes and sub-rank
-placements.  Sharing must be invisible: results equal a private-memo
-run, every read is still verified, and with the switch off every owner
-keeps its own memo.
+jobs of one workload reuse each other's compression results, generated
+line contents and classes, keystreams, BLEM images and decodes, address
+decodes and sub-rank placements.  Sharing must be invisible: results
+equal a private-memo run, every read is still verified, and with the
+switch off every owner keeps its own memo.
 """
 
 import hashlib
@@ -150,7 +150,8 @@ def test_encode_memo_keys_on_the_primary_subrank(shared):
 
 #: (label, build an owner, its memo attributes)
 MEMO_OWNERS = [
-    ("compression", CompressionEngine, ("_cache", "_size_cache")),
+    ("compression", CompressionEngine, ("_cache",)),
+    ("datagen", _model, ("_content_cache", "_flip_cache", "_class_cache")),
     ("scramble", lambda: DataScrambler(7), ("_keystreams",)),
     ("dram.decode", lambda: AddressMapper(DramOrganization()),
      ("_decode_cache",)),
@@ -175,6 +176,18 @@ class TestMemoOwners:
         first, second = build(), build()
         for attribute in attributes:
             assert getattr(first, attribute) is getattr(second, attribute)
+
+
+def test_registry_keeps_a_bounded_number_of_fingerprints_per_name(shared):
+    first = fastpath.memo("test.bounded", 0)
+    other = fastpath.memo("test.other", 0)
+    for fingerprint in range(1, fastpath.MEMO_FINGERPRINTS):
+        fastpath.memo("test.bounded", fingerprint)
+    assert fastpath.memo("test.bounded", 0) is first
+    # One fingerprint past the bound starts that name over, and only it.
+    fastpath.memo("test.bounded", fastpath.MEMO_FINGERPRINTS)
+    assert fastpath.memo("test.bounded", 0) is not first
+    assert fastpath.memo("test.other", 0) is other
 
 
 def test_fingerprints_separate_configurations(shared):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fastpath
 from repro.cpu.trace import MemOp, TraceRecord
 from repro.workloads import bank
 from repro.workloads.bank import (
@@ -167,11 +168,16 @@ class TestInstall:
         assert installed.stats.replayed == 1  # unchanged after deactivate
 
     def test_shared_memos_survive_across_instances(self, tmp_path):
+        # A warm worker installs a bank and switches memo sharing on.
         bank.install(tmp_path)
-        first = build_workload("STREAM", **WORKLOAD)
-        line = first.region_bases[0] // 64
-        data = first.data_model.line_data(line, 0)
-        second = build_workload("STREAM", **WORKLOAD)
+        fastpath.share_memos(True)
+        try:
+            first = build_workload("STREAM", **WORKLOAD)
+            line = first.region_bases[0] // 64
+            data = first.data_model.line_data(line, 0)
+            second = build_workload("STREAM", **WORKLOAD)
+        finally:
+            fastpath.share_memos(False)
         # The second instance's model starts with the first one's memo:
         # same object identity proves the cache was shared, not re-derived.
         assert second.data_model.line_data(line, 0) is data
