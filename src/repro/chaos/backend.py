@@ -14,9 +14,10 @@ point (attempt order is sequential per job, so the n-th launch is the
 n-th attempt): deterministic across runs, distinct across retries, so a
 killed attempt's retry usually survives.
 
-Everything else delegates to the wrapped backend, so cluster backends
-(whose workers live on remote agents) are never wrapped — their chaos
-rides the transport/agent sites instead.
+Cluster backends are never wrapped: their workers live on remote
+agents, so the coordinator draws each dispatch's ``worker.*`` faults
+itself (token ``<key>:<n>``) and ships them on the job frame, and the
+agent applies them with :func:`apply_worker_fault`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ from typing import Dict
 
 from repro.chaos.plan import ChaosPlan
 from repro.orchestrator.jobs import JobSpec
+
+
+def apply_worker_fault(process, fault: dict) -> None:
+    """Inflict the ``worker.*`` sites of *fault* on a launched worker."""
+    if fault.get("worker.slow"):
+        time.sleep(fault["worker.slow"])
+    if fault.get("worker.crash"):
+        process.kill()
+    elif fault.get("worker.oom"):
+        process.terminate()
 
 
 class ChaosBackend:
@@ -41,45 +52,16 @@ class ChaosBackend:
         label = JobSpec.from_dict(job_payload).describe()
         count = self._launches.get(label, 0) + 1
         self._launches[label] = count
-        token = f"{label}:{count}"
         process, conn, worker = self._inner.launch(job_payload)
-        plan = self._plan
-        if plan.should("worker.slow", token):
-            time.sleep(plan.delay_s("worker.slow", token))
-        if plan.should("worker.crash", token):
-            kill = getattr(process, "kill", None)
-            if callable(kill):
-                kill()
-        elif plan.should("worker.oom", token):
-            terminate = getattr(process, "terminate", None)
-            if callable(terminate):
-                terminate()
+        apply_worker_fault(process,
+                           self._plan.faults("worker", f"{label}:{count}"))
         return process, conn, worker
 
-    # -- pure delegation ------------------------------------------------
-
-    def retire_ok(self, slot) -> None:
-        self._inner.retire_ok(slot)
-
-    def retire_dead(self, slot) -> None:
-        self._inner.retire_dead(slot)
-
-    def kill(self, slot) -> None:
-        self._inner.kill(slot)
-
-    def abort(self, running) -> None:
-        self._inner.abort(running)
-
-    def shutdown(self) -> None:
-        self._inner.shutdown()
-
-    def wait(self, conns, timeout):
-        return self._inner.wait(conns, timeout)
-
     def __getattr__(self, attribute):
-        # Optional hooks (attach_fleet, prepare, agents, ...) pass through
-        # so the orchestrator sees exactly the wrapped backend's surface.
+        # Everything else (retire_ok, kill, wait, shutdown, attach_fleet,
+        # ...) is the wrapped backend's, so the orchestrator sees exactly
+        # its surface.
         return getattr(self._inner, attribute)
 
 
-__all__ = ["ChaosBackend"]
+__all__ = ["ChaosBackend", "apply_worker_fault"]

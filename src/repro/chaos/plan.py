@@ -35,9 +35,11 @@ Sites (rate = probability per decision token):
 ``manifest.torn_append`` torn (newline-less) fragment after a manifest row
 ====================== ==================================================
 
-Every injection is recorded in :attr:`ChaosPlan.injections` and — when a
-fleet span log is bound — as a ``chaos`` span mark, so ``repro trace``
-and ``repro top`` show exactly what chaos did to a run.
+A run has one plan: a cluster run's coordinator also draws the agents'
+faults and ships them on job frames.  Every injection is recorded once,
+in :attr:`ChaosPlan.injections` and — when a fleet span log is bound —
+as a ``chaos`` span mark, so ``repro trace`` and ``repro top`` show
+exactly what chaos did to a run.
 """
 
 from __future__ import annotations
@@ -98,6 +100,20 @@ PROFILES: Dict[str, Dict[str, float]] = {
 #: Upper bound on an injected stall (transport.delay / worker.slow), so a
 #: chaotic run is slower, never hung.
 MAX_DELAY_S = 0.05
+
+#: Sites drawn together for one frame send, one worker launch or (on an
+#: agent) one job, in order; within a tuple the first site that fires
+#: wins.
+_WORKER = (("worker.slow",), ("worker.crash", "worker.oom"))
+FAULT_GROUPS = {
+    "transport": (("transport.delay",),
+                  ("transport.corrupt", "transport.truncate")),
+    "worker": _WORKER,
+    "agent": (("agent.hang",),) + _WORKER,
+}
+
+#: Sites whose fault is a stall: ``faults`` maps them to its seconds.
+_STALLS = ("transport.delay", "worker.slow")
 
 
 class ChaosSpecError(ValueError):
@@ -160,8 +176,8 @@ class ChaosPlan:
     def should(self, site: str, token: str) -> bool:
         """Deterministically decide (and record) one injection.
 
-        ``token`` must be stable across runs — a job cache key, a
-        ``label:attempt`` pair — never a wall-clock or sequence number.
+        ``token`` must be stable across runs — a job cache key with its
+        dispatch count, a ``label:attempt`` pair — never a wall-clock.
         """
         rate = self.rates.get(site, 0.0)
         if rate <= 0.0 or _draw(self.seed, site, token) >= rate:
@@ -172,6 +188,21 @@ class ChaosPlan:
         if self._spans is not None:
             self._spans.mark("chaos", site=site, token=token)
         return True
+
+    def faults(self, group: str, token: str) -> Dict[str, object]:
+        """Draw one :data:`FAULT_GROUPS` group for *token*.
+
+        Returns the sites that fired — a stall site mapped to its
+        seconds, any other to True — or ``{}`` when none did.
+        """
+        fired: Dict[str, object] = {}
+        for sites in FAULT_GROUPS[group]:
+            for site in sites:
+                if self.should(site, token):
+                    fired[site] = (self.delay_s(site, token)
+                                   if site in _STALLS else True)
+                    break
+        return fired
 
     def delay_s(self, site: str, token: str) -> float:
         """Deterministic stall duration in ``(0, MAX_DELAY_S]``."""
@@ -244,6 +275,7 @@ def chaos_from_env(environ=None) -> Optional[ChaosPlan]:
 
 
 __all__ = [
+    "FAULT_GROUPS",
     "MAX_DELAY_S",
     "PROFILES",
     "SITES",

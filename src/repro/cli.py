@@ -759,17 +759,10 @@ def _cluster_agent(args: argparse.Namespace) -> int:
 
 
 def _cluster_sweep(args: argparse.Namespace) -> int:
-    import os
-
     from repro.cluster import connect_cluster
     from repro.sim.sweep import run_sweep
 
-    chaos = _grid_chaos(args)
-    if chaos is not None:
-        # Agents this sweep launches inherit the environment, so one
-        # --chaos spec arms transport/worker faults fleet-wide (dialed
-        # agents keep their own REPRO_CHAOS setting).
-        os.environ.setdefault("REPRO_CHAOS", args.chaos)
+    chaos = _grid_chaos(args)  # a bad spec fails before agents launch
     backend = connect_cluster(
         args.hosts, agent_jobs=args.agent_jobs, agent_pool=args.pool,
     )

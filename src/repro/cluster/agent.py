@@ -19,6 +19,9 @@ Fault model, from the agent's side:
   a resumed coordinator pairs with it again and the run's manifest
   resume machinery skips whatever already completed.
 
+An agent holds no chaos plan: it inflicts only the faults a job frame's
+``chaos`` directive names, which the coordinator's plan drew.
+
 Start one with ``repro cluster agent --listen HOST:PORT``; the agent
 announces ``repro-agent listening on HOST:PORT`` on stdout so SSH and
 loopback launchers can scrape the bound port (``--listen host:0``).
@@ -58,7 +61,7 @@ from repro.sim.simulator import SimulationResult
 #: the agent declares the coordinator dead and recycles the session.
 DEFAULT_SESSION_TIMEOUT_S = 60.0
 
-#: How long an ``agent.hang`` chaos injection wedges the serve loop —
+#: How long an ``agent.hang`` chaos directive wedges the serve loop —
 #: long enough to trip a test-tightened heartbeat timeout, short enough
 #: not to stall a default-config smoke run forever.
 CHAOS_HANG_S = 2.0
@@ -78,6 +81,7 @@ class _LocalJob:
     #: Agent-monotonic fleet-span timestamps (zeros when not observed).
     received: float = 0.0  #: job frame arrival
     probe: tuple = ()      #: (t0, t1) around the agent-cache lookup
+    fault: Optional[dict] = None  #: the job's chaos directive, if any
 
 
 @dataclass
@@ -86,7 +90,6 @@ class AgentStats:
 
     served: int = 0
     cache_hits: int = 0
-    errors: int = 0
     sessions: int = 0
 
 
@@ -123,16 +126,6 @@ class AgentServer:
         self._listener = None
         self._session_channel = None
         self._stopping = False
-        #: Agent-side chaos plan from ``REPRO_CHAOS`` (None = inert;
-        #: the chaos package is only imported when the variable is set,
-        #: so unfaulted agents never pay for it).  Launchers propagate
-        #: the coordinator's environment, so one ``--chaos`` spec arms
-        #: every auto-launched local agent identically.
-        self._chaos = None
-        if os.environ.get("REPRO_CHAOS"):
-            from repro.chaos import chaos_from_env
-
-            self._chaos = chaos_from_env()
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
@@ -248,15 +241,6 @@ class AgentServer:
 
     def _serve_jobs(self, channel: FrameChannel) -> None:
         backend, cleanup = self._make_backend()
-        if self._chaos is not None:
-            from repro.chaos import ChaosBackend
-
-            # Arm transport faults on our side of the session (the
-            # coordinator sees corrupt/truncated agent frames) and the
-            # worker.* sites on the local pool.  The handshake above ran
-            # clean: chaos tests recovery, not pairing.
-            channel.chaos = self._chaos
-            backend = ChaosBackend(backend, self._chaos)
         inflight: Dict[str, _LocalJob] = {}
         last_heard = time.monotonic()
         try:
@@ -316,8 +300,7 @@ class AgentServer:
                 backend.kill(job)
             return True
         if kind == "job":
-            if self._chaos is not None and self._chaos.should(
-                    "agent.hang", str(message.get("key", ""))):
+            if message.get("chaos", {}).get("agent.hang"):
                 # A wedged agent: go silent (no pong, no result) long
                 # enough for the coordinator's heartbeat to declare us
                 # dead and requeue our in-flight work.
@@ -335,9 +318,12 @@ class AgentServer:
         return True
 
     def _start_job(self, message, channel, backend, inflight) -> None:
+        """Launch one job; its chaos directive, if any, hits the worker
+        (``worker.*``) and the outcome frame (``transport.*``)."""
         job_id = message["id"]
         key = message["key"]
         payload = message["job"]
+        fault = message.get("chaos")
         observed = bool(getattr(backend, "timing", False))
         received = time.monotonic() if observed else 0.0
         probe_t0 = time.monotonic() if observed else 0.0
@@ -352,21 +338,25 @@ class AgentServer:
                 wall_s=0.0, cached=True,
                 timing=({"phases": {"cache_probe": list(probe)},
                          "remote": True} if observed else None),
-            ))
+            ), fault)
             return
         try:
             process, conn, worker = backend.launch(payload)
         except WorkerStartupError as exc:
-            self.stats.errors += 1
             channel.send(protocol.error(
                 job_id, key, self.name, f"agent could not start worker: {exc}"
-            ))
+            ), fault)
             return
+        if fault:
+            # Imported only here: a calm agent never loads repro.chaos.
+            from repro.chaos.backend import apply_worker_fault
+
+            apply_worker_fault(process, fault)
         inflight[job_id] = _LocalJob(
             job_id=job_id, key=key, process=process, conn=conn,
             worker=worker, started=time.monotonic(),
             label=str(payload.get("benchmark", "")),
-            received=received, probe=probe,
+            received=received, probe=probe, fault=fault,
         )
 
     def _complete(self, job: _LocalJob, channel, backend, inflight) -> None:
@@ -399,12 +389,11 @@ class AgentServer:
         if payload is None:
             exitcode = job.process.exitcode
             backend.retire_dead(job)
-            self.stats.errors += 1
             channel.send(protocol.error(
                 job.job_id, job.key, self.name,
                 f"worker crashed (exit code {exitcode})",
                 timing=timing,
-            ))
+            ), job.fault)
             return
         if payload.get("status") == "ok":
             backend.retire_ok(job)
@@ -418,10 +407,9 @@ class AgentServer:
             channel.send(protocol.result(
                 job.job_id, job.key, payload["result"], agent=self.name,
                 wall_s=wall, cached=False, timing=timing,
-            ))
+            ), job.fault)
         else:
             backend.retire_ok(job)  # the worker survived the exception
-            self.stats.errors += 1
             channel.send(protocol.error(
                 job.job_id, job.key, self.name,
                 payload.get("error", "worker error"),
@@ -429,7 +417,7 @@ class AgentServer:
                 rng=payload.get("rng"),
                 fastpath=payload.get("fastpath"),
                 timing=timing,
-            ))
+            ), job.fault)
 
 
 def parse_listen(text: str):

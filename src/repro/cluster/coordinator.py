@@ -162,7 +162,7 @@ class ClusterBackend:
         self._cond = threading.Condition(threading.RLock())
         self._jobs: Dict[str, _ClusterJob] = {}
         self._counter = itertools.count(1)
-        #: Dispatches per job key: the ``agent.drop`` token's counter.
+        #: Dispatches per job key: the n of every chaos token.
         self._dispatches: Dict[str, int] = {}
         self._ping_seq = itertools.count(1)
         self._ping_sent: Dict[int, float] = {}  # seq -> send monotonic
@@ -218,16 +218,12 @@ class ClusterBackend:
                            rtt=round(link.clock_rtt, 6))
 
     def attach_chaos(self, plan) -> None:
-        """Orchestrator hook: inject transport/agent faults from *plan*.
+        """Orchestrator hook: *plan* decides every fault of each dispatch.
 
-        Binds the plan to every link's channel (transport sites fire on
-        job-carrying sends) and arms the coordinator-side ``agent.drop``
-        site at dispatch time.
+        Agents hold no plan: :meth:`_dispatch` draws their faults too and
+        ships them on the job frame, so *plan* records every injection.
         """
         self._chaos = plan
-        with self._cond:
-            for link in self._links:
-                link.channel.chaos = plan
 
     # -- backend interface (what the pool's scheduling loop calls) ------
 
@@ -341,26 +337,44 @@ class ClusterBackend:
         """Send *job* to the best surviving agent."""
         while True:
             link = self._pick_link()
+            sends = self._dispatches.get(job.key, 0) + 1
+            self._dispatches[job.key] = sends
+            fault, drop, directive = self._draw_faults(f"{job.key}:{sends}")
             try:
-                link.channel.send(
-                    protocol.job(job.job_id, job.key, job.payload)
-                )
+                link.channel.send(protocol.job(
+                    job.job_id, job.key, job.payload, chaos=directive
+                ), fault)
             except ConnectionClosed:
                 self._mark_dead(link)  # not alive: the next pick skips it
                 continue
             link.inflight.add(job.job_id)
             job.link = link
-            sends = self._dispatches.get(job.key, 0) + 1
-            self._dispatches[job.key] = sends
-            if (self._chaos is not None and self._chaos.should(
-                    "agent.drop", f"{job.key}:{sends}")):
+            if drop:
                 # Sever the connection right after the dispatch landed:
                 # the reader sees EOF and marks the link dead, which
-                # hands every job on it back to the orchestrator.  The
-                # token counts this key's dispatches, so a re-sent job
-                # draws afresh and every run draws the same.
+                # hands every job on it back to the orchestrator.
                 link.channel.close()
             return
+
+    def _draw_faults(self, token: str):
+        """``(job-frame fault, drop, directive)`` for one dispatch.
+
+        *token* is ``<key>:<n>``: a re-sent job draws afresh, whatever
+        agent it goes to.  The agent-side sites are drawn only for a job
+        frame that goes out intact and undropped, and ride it.
+        """
+        plan = self._chaos
+        if plan is None:
+            return None, False, None
+        fault = plan.faults("transport", f"job:{token}")
+        drop = plan.should("agent.drop", token)
+        if drop or fault.keys() & {"transport.corrupt",
+                                   "transport.truncate"}:
+            return fault, drop, None
+        return fault, drop, {
+            **plan.faults("agent", token),
+            **plan.faults("transport", f"outcome:{token}"),
+        }
 
     def _mapped_timing(self, link: AgentLink,
                        message: dict) -> Optional[dict]:

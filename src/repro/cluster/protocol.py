@@ -6,7 +6,9 @@ is deliberately small:
 
 Coordinator -> agent
     ``hello``     open a session (protocol version + code fingerprint)
-    ``job``       dispatch one grid point (id + JobSpec payload)
+    ``job``       dispatch one grid point (id + JobSpec payload; a
+                  ``chaos`` directive when the coordinator's plan drew
+                  agent-side faults for this dispatch)
     ``cancel``    stop one in-flight job (per-job timeout)
     ``ping``      heartbeat probe
     ``observe``   advisory: flip fleet span timing for this session
@@ -43,7 +45,10 @@ from typing import Dict, Optional
 #: v3: hardened framing — every frame carries a CRC32 body checksum
 #: (:mod:`repro.cluster.transport`); a v2 peer cannot even parse a v3
 #: frame, so the version gate is enforced by the wire format itself.
-PROTOCOL_VERSION = 3
+#: v4: one chaos plan per run — a ``job`` frame may carry a ``chaos``
+#: directive (the agent-side faults the coordinator drew), and agents
+#: no longer arm a plan of their own.
+PROTOCOL_VERSION = 4
 
 
 class ClusterError(RuntimeError):
@@ -58,9 +63,9 @@ class HandshakeError(ClusterError):
 # Message constructors (kept as functions so every field is spelled once)
 # ----------------------------------------------------------------------
 
-def hello(code: str, role: str = "coordinator") -> dict:
+def hello(code: str) -> dict:
     return {"kind": "hello", "protocol": PROTOCOL_VERSION, "code": code,
-            "role": role}
+            "role": "coordinator"}
 
 
 def welcome(code: str, name: str, slots: int, pid: int,
@@ -78,8 +83,12 @@ def reject(reason: str) -> dict:
     return {"kind": "reject", "reason": reason}
 
 
-def job(job_id: str, key: str, payload: dict) -> dict:
-    return {"kind": "job", "id": job_id, "key": key, "job": payload}
+def job(job_id: str, key: str, payload: dict,
+        chaos: Optional[dict] = None) -> dict:
+    out = {"kind": "job", "id": job_id, "key": key, "job": payload}
+    if chaos:  # calm frames carry no directive
+        out["chaos"] = chaos
+    return out
 
 
 def cancel(job_id: str) -> dict:

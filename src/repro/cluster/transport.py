@@ -1,7 +1,7 @@
 """Checksummed length-prefixed JSON framing over TCP sockets.
 
 Every cluster message is one *frame*: a 4-byte big-endian length prefix,
-a 4-byte big-endian CRC32 of the body (protocol v3), then that many
+a 4-byte big-endian CRC32 of the body (since protocol v3), then that many
 bytes of UTF-8 JSON.  Framing keeps the protocol trivially inspectable
 (``tcpdump`` + ``json.loads``) and makes partial reads unambiguous: a
 reader either has a whole message or keeps reading.  The checksum turns
@@ -16,12 +16,14 @@ and blocking receives.  A closed or reset peer surfaces as
 :class:`ConnectionClosed` from ``recv`` and ``send`` alike — callers
 treat both as "the other end is gone", never as a protocol error.
 
-Fault injection: when a :class:`repro.chaos.ChaosPlan` is bound to a
-channel (``channel.chaos = plan``), ``send`` may corrupt one body byte
-*after* the CRC is computed (so the receiver's verification catches it),
-truncate the frame and sever the connection, or stall deterministically.
-Only frames carrying a job ``key`` are candidates — the decision token
-must be stable across runs, and heartbeat traffic has no such token.
+Fault injection: ``send`` applies the fault it is handed and decides
+none itself.  A fault is a :meth:`repro.chaos.ChaosPlan.faults` dict of
+``transport.*`` sites: ``transport.delay`` stalls before the frame,
+``transport.corrupt`` flips one body byte *after* the CRC is computed
+(so the receiver's verification catches it), ``transport.truncate``
+ships half the frame and severs the connection.  The coordinator's plan
+draws these for job frames and, as the job's directive, for the agent's
+outcome frame; control traffic is never handed one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Optional, Tuple
 #: and keeps a corrupt or hostile length prefix from allocating wildly.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: v3 frame header: body length + CRC32 of the body.
+#: Frame header (since v3): body length + CRC32 of the body.
 _HEADER = struct.Struct(">II")
 
 
@@ -53,20 +55,6 @@ class ChecksumError(TransportError):
 
 class ConnectionClosed(ConnectionError):
     """The peer hung up (EOF mid-frame or a reset socket)."""
-
-
-def _frame_token(message: dict) -> Optional[str]:
-    """The chaos decision token for one outgoing message, if any.
-
-    Job-carrying messages are keyed on ``kind:key`` — stable across runs
-    (cache keys are content-addressed) and distinct per direction of the
-    exchange.  Control traffic (ping/pong/hello/observe/...) has no stable
-    token and is never injected.
-    """
-    key = message.get("key")
-    if not key:
-        return None
-    return f"{message.get('kind')}:{key}"
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -95,9 +83,6 @@ class FrameChannel:
         # channel); the lock still guards against accidental sharing.
         self._recv_lock = threading.Lock()
         self._closed = False
-        #: Optional bound :class:`repro.chaos.ChaosPlan`; None (the
-        #: default) keeps every send on the plain fast path.
-        self.chaos = None
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
@@ -114,8 +99,11 @@ class FrameChannel:
 
     # -- frames ---------------------------------------------------------
 
-    def send(self, message: dict) -> None:
-        """Ship one message; raises :class:`ConnectionClosed` if gone."""
+    def send(self, message: dict, fault: Optional[dict] = None) -> None:
+        """Ship one message, damaged as *fault* says (see module doc).
+
+        Raises :class:`ConnectionClosed` if the peer is gone.
+        """
         encoded = json.dumps(message, sort_keys=True).encode("utf-8")
         if len(encoded) > MAX_FRAME_BYTES:
             raise TransportError(
@@ -123,21 +111,18 @@ class FrameChannel:
             )
         crc = zlib.crc32(encoded) & 0xFFFFFFFF
         sever = False
-        plan = self.chaos
-        if plan is not None:
-            token = _frame_token(message)
-            if token is not None:
-                if plan.should("transport.delay", token):
-                    time.sleep(plan.delay_s("transport.delay", token))
-                if plan.should("transport.corrupt", token):
-                    # Flip one body byte *after* the CRC was computed:
-                    # the receiver's checksum verification must catch it.
-                    corrupted = bytearray(encoded)
-                    corrupted[crc % len(corrupted)] ^= 0x01
-                    encoded = bytes(corrupted)
-                elif plan.should("transport.truncate", token):
-                    encoded = encoded[: max(1, len(encoded) // 2)]
-                    sever = True  # the peer sees EOF mid-frame
+        if fault:
+            if fault.get("transport.delay"):
+                time.sleep(fault["transport.delay"])
+            if fault.get("transport.corrupt"):
+                # Flip one body byte *after* the CRC was computed: the
+                # receiver's checksum verification must catch it.
+                corrupted = bytearray(encoded)
+                corrupted[crc % len(corrupted)] ^= 0x01
+                encoded = bytes(corrupted)
+            elif fault.get("transport.truncate"):
+                encoded = encoded[: max(1, len(encoded) // 2)]
+                sever = True  # the peer sees EOF mid-frame
         frame = _HEADER.pack(
             len(encoded) if not sever else len(encoded) * 2, crc
         ) + encoded
@@ -223,8 +208,7 @@ def connect(host: str, port: int, timeout: float = 10.0) -> FrameChannel:
     return FrameChannel(sock)
 
 
-def listen(host: str, port: int, backlog: int = 8
-           ) -> Tuple[socket.socket, Tuple[str, int]]:
+def listen(host: str, port: int) -> Tuple[socket.socket, Tuple[str, int]]:
     """Bind a listening socket; returns ``(socket, (host, port))``.
 
     Port 0 asks the OS for a free port — the resolved address is what an
@@ -233,7 +217,7 @@ def listen(host: str, port: int, backlog: int = 8
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind((host, port))
-    sock.listen(backlog)
+    sock.listen(8)  # an agent serves one coordinator at a time
     bound = sock.getsockname()[:2]
     return sock, (bound[0], int(bound[1]))
 

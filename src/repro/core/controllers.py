@@ -97,12 +97,6 @@ class MemoryController(abc.ABC):
         self._predictor_delay = memory.config.core_to_bus(
             memory.config.predictor_latency_cycles
         )
-        #: aligned address -> sub-rank; pure function of the address
-        #: mapping, queried once or more per line access.  Controllers on
-        #: one mapping may share it (fastpath.share_memos).
-        self._subrank_memo: dict = fastpath.memo(
-            "core.subrank", memory.mapper.fingerprint
-        )
         # Observability is null by default: the registry hands out no-op
         # instruments and the tracer is None, so the hot-path hooks cost
         # one attribute check each.
@@ -126,18 +120,12 @@ class MemoryController(abc.ABC):
 
     def _primary_subrank(self, address: int) -> int:
         """Sub-rank holding a compressed line / the Metadata-Header."""
-        aligned = address - address % CACHELINE_BYTES
-        memo = self._subrank_memo
-        subrank = memo.get(aligned)
-        if subrank is None:
-            decoded = self._memory.mapper.decode(aligned)
-            subrank = self._org.subrank_of_location(
-                decoded.row, decoded.bank_group, decoded.bank
-            )
-            if len(memo) >= fastpath.MEMO_ENTRIES:
-                memo.clear()
-            memo[aligned] = subrank
-        return subrank
+        decoded = self._memory.mapper.decode(
+            address - address % CACHELINE_BYTES
+        )
+        return self._org.subrank_of_location(
+            decoded.row, decoded.bank_group, decoded.bank
+        )
 
     def _note_read_done(self, arrival: float, done: float) -> None:
         self.stats.read_latency_sum += done - arrival

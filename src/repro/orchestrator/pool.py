@@ -370,8 +370,8 @@ class Orchestrator:
                                         queued_at=time.monotonic()))
 
         fleet_rt.pending = pending
-        backend, cleanup = self._make_backend(manifest, plan)
         self._plan = plan
+        backend, cleanup = self._make_backend(manifest)
         self._degraded = False
         self._fallback = None  #: (backend, cleanup) after degradation
         if plan is not None:
@@ -454,41 +454,40 @@ class Orchestrator:
     def _local_backend(self, mode: str, manifest):
         """A ``spawn`` or ``warm`` pool; returns ``(backend, cleanup)``.
 
-        ``cleanup`` is a zero-argument callable or None.
+        ``cleanup`` is a zero-argument callable or None.  Under a chaos
+        plan the pool is wrapped to inject the ``worker.*`` sites;
+        cluster backends are armed through ``attach_chaos`` instead.
         """
-        if mode == "spawn":
-            return SpawnBackend(self._ctx, self.runner,
-                                timing=self.fleet_timing), None
-        bank_root = self.bank_dir
         cleanup = None
-        if bank_root is None:
-            if manifest is not None:
+        if mode == "spawn":
+            backend = SpawnBackend(self._ctx, self.runner,
+                                   timing=self.fleet_timing)
+        else:
+            bank_root = self.bank_dir
+            if bank_root is None and manifest is not None:
                 # Durable runs keep their bank: entry keys fold in the
                 # code fingerprint, so resumes reuse still-valid blobs.
                 bank_root = manifest.run_dir / "bank"
-            else:
+            elif bank_root is None:
                 bank_root = tempfile.mkdtemp(prefix="repro-bank-")
                 cleanup = lambda: shutil.rmtree(bank_root, ignore_errors=True)
-        backend = WarmPoolBackend(
-            self._ctx, self.runner, bank_root=bank_root,
-            recycle_after=self.recycle_after, timing=self.fleet_timing,
-        )
+            backend = WarmPoolBackend(
+                self._ctx, self.runner, bank_root=bank_root,
+                recycle_after=self.recycle_after, timing=self.fleet_timing,
+            )
+        if self._plan is not None:
+            from repro.chaos import ChaosBackend
+
+            backend = ChaosBackend(backend, self._plan)
         return backend, cleanup
 
-    def _make_backend(self, manifest, plan=None):
+    def _make_backend(self, manifest):
         """Build the execution backend; returns ``(backend, cleanup)``."""
         if not isinstance(self.pool, str):
             # A pre-built backend instance (e.g. ClusterBackend).  The
             # orchestrator still owns its shutdown, but not its cleanup.
             return self.pool, None
-        backend, cleanup = self._local_backend(self.pool, manifest)
-        if plan is not None:
-            # Local pools get the worker.* fault sites; cluster backends
-            # are armed separately through attach_chaos.
-            from repro.chaos import ChaosBackend
-
-            backend = ChaosBackend(backend, plan)
-        return backend, cleanup
+        return self._local_backend(self.pool, manifest)
 
     def _degrade_to_local(self, manifest, telemetry, spans, reason: str):
         """All cluster agents are gone: fall back to the local warm pool.
@@ -500,10 +499,6 @@ class Orchestrator:
         """
         self._degraded = True
         backend, cleanup = self._local_backend("warm", manifest)
-        if self._plan is not None:
-            from repro.chaos import ChaosBackend
-
-            backend = ChaosBackend(backend, self._plan)
         self._fallback = (backend, cleanup)
         telemetry.degraded("warm", reason)
         spans.mark("degraded_to_local", reason=reason)

@@ -22,6 +22,7 @@ same and results are bit-identical across modes.
 
 from __future__ import annotations
 
+import gc
 import time
 import traceback
 from dataclasses import dataclass
@@ -65,6 +66,7 @@ def _spawn_worker_entry(conn, runner, job_payload, timing: bool = False) -> None
     ``{"timing": {"phases": {...}}}`` — ``time.monotonic()`` pairs in
     the parent's clock domain (CLOCK_MONOTONIC is system-wide).
     """
+    gc.freeze()  # see _warm_worker_main
     from repro.orchestrator.jobs import JobSpec
 
     try:
@@ -98,6 +100,10 @@ def _warm_worker_main(conn, parent_end, runner, bank_root,
     fork: while this process holds it, ``conn.recv()`` never sees EOF,
     so the worker would outlive a parent that dies without saying exit.
     """
+    # Objects inherited from the parent go to the permanent generation:
+    # the worker's first full collection then neither scans them nor
+    # dirties (copies) their shared pages.  The parent is untouched.
+    gc.freeze()
     parent_end.close()
     attach_span = None
     if bank_root is not None:

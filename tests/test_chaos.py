@@ -395,3 +395,43 @@ class TestDigestInvariant:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "calm"
+
+    def test_calm_agent_imports_chaos_only_for_a_directive(self):
+        """An agent holds no plan: it loads repro.chaos only when a job
+        frame carries a chaos directive, never for a calm job."""
+        snippet = (
+            "import socket, sys, threading\n"
+            "from repro.cluster import protocol\n"
+            "from repro.cluster.agent import AgentServer\n"
+            "from repro.cluster.transport import FrameChannel\n"
+            "from repro.orchestrator.jobs import JobSpec, code_fingerprint\n"
+            "from repro.sim.runner import ExperimentScale\n"
+            "left, right = socket.socketpair()\n"
+            "coordinator = FrameChannel(right)\n"
+            "server = AgentServer(once=True, announce=lambda *a, **k: None)\n"
+            "thread = threading.Thread(target=server._handle_session,\n"
+            "    args=(FrameChannel(left),), daemon=True)\n"
+            "thread.start()\n"
+            "coordinator.send(protocol.hello(code_fingerprint()))\n"
+            "assert coordinator.recv(timeout=30)['kind'] == 'welcome'\n"
+            "scale = ExperimentScale(name='z', factor=64, cores=1,\n"
+            "    records_per_core=40, warmup_per_core=0)\n"
+            "for n, directive in enumerate([None, {'worker.slow': 0.001}]):\n"
+            "    spec = JobSpec(benchmark='STREAM', system='baseline',\n"
+            "                   seed=n + 1, scale=scale)\n"
+            "    coordinator.send(protocol.job(f'j{n}', spec.key(),\n"
+            "        spec.to_dict(), chaos=directive))\n"
+            "    assert coordinator.recv(timeout=60)['kind'] == 'result'\n"
+            "    print('repro.chaos' in sys.modules)\n"
+            "coordinator.send(protocol.bye())\n"
+            "thread.join(timeout=30)\n"
+        )
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_CHAOS"}
+        env["PYTHONPATH"] = str(repo / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", snippet], env=env, cwd=str(repo),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]

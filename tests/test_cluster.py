@@ -18,7 +18,7 @@ import zlib
 
 import pytest
 
-from repro.chaos import parse_chaos
+from repro.chaos import ChaosPlan, parse_chaos
 from repro.cluster import connect_cluster, protocol
 from repro.cluster.agent import AgentServer, parse_listen
 from repro.cluster.coordinator import AgentLink, ClusterBackend, NoAgentsError
@@ -31,6 +31,7 @@ from repro.cluster.transport import (
 )
 from repro.energy import EnergyReport
 from repro.fastpath.bench import grid_digest, pinned_sweep_specs
+from repro.obs.fleet import FleetConfig
 from repro.orchestrator import JobSpec, Orchestrator
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.jobs import code_fingerprint
@@ -168,40 +169,35 @@ class TestTransport:
         channel.close()
 
     def test_chaos_corrupt_injection_caught_by_crc(self):
-        from repro.chaos import parse_chaos
-
         a, b = _channel_pair()
-        a.chaos = parse_chaos("off,transport.corrupt=1.0@1")
-        a.send({"kind": "result", "id": "j1", "key": "k" * 64})
+        a.send({"kind": "result", "id": "j1", "key": "k" * 64},
+               {"transport.corrupt": True})
         with pytest.raises(ChecksumError):
             b.recv(timeout=5.0)
-        assert a.chaos.counts.get("transport.corrupt") == 1
         a.close()
         b.close()
 
     def test_chaos_truncate_injection_severs_connection(self):
-        from repro.chaos import parse_chaos
-
         a, b = _channel_pair()
-        a.chaos = parse_chaos("off,transport.truncate=1.0@1")
-        a.send({"kind": "result", "id": "j1", "key": "k" * 64})
+        a.send({"kind": "result", "id": "j1", "key": "k" * 64},
+               {"transport.truncate": True})
         with pytest.raises(ConnectionClosed):
             b.recv(timeout=5.0)
         assert a.closed
         b.close()
 
     def test_control_frames_never_injected(self):
-        """Keyless traffic (pings, handshakes) bypasses chaos entirely."""
-        from repro.chaos import parse_chaos
-
+        """Only a handed fault damages a frame: sends without one, keyed
+        or not, and a delay-only fault arrive intact and in order."""
         a, b = _channel_pair()
-        a.chaos = parse_chaos("heavy,transport.delay=0@9")
-        for sequence in range(5):
+        for sequence in range(3):
             a.send({"kind": "ping", "seq": sequence})
-        assert [b.recv(timeout=5.0)["seq"] for _ in range(5)] == [
-            0, 1, 2, 3, 4
+        a.send({"kind": "result", "id": "j1", "key": "k" * 64})
+        a.send({"kind": "ping", "seq": 3}, {"transport.delay": 0.001})
+        assert [b.recv(timeout=5.0).get("seq") for _ in range(5)] == [
+            0, 1, 2, None, 3
         ]
-        assert a.chaos.injections == []
+        assert not a.closed
         a.close()
         b.close()
 
@@ -231,6 +227,18 @@ class TestHandshake:
         assert "fingerprint" in reply["reason"]
         with pytest.raises(protocol.HandshakeError, match="fingerprint"):
             protocol.check_peer(reply, "welcome", code_fingerprint())
+        channel.close()
+        thread.join(timeout=5.0)
+
+    def test_protocol_3_peer_rejected(self):
+        """v4 moved chaos decisions into job frames: a v3 peer would arm
+        its own plan from the environment, so it must not pair."""
+        assert protocol.PROTOCOL_VERSION == 4
+        stale = protocol.hello(code=code_fingerprint())
+        stale["protocol"] = 3
+        reply, channel, thread = self._session(stale)
+        assert reply["kind"] == "reject"
+        assert "version" in reply["reason"]
         channel.close()
         thread.join(timeout=5.0)
 
@@ -309,11 +317,12 @@ class _FakeChannel:
 
     def __init__(self):
         self.sent = []
+        self.faults = []
         self._incoming = queue.Queue()
-        self.chaos = None
 
-    def send(self, message):
+    def send(self, message, fault=None):
         self.sent.append(message)
+        self.faults.append(fault)
 
     def recv(self, timeout=None):
         item = self._incoming.get()
@@ -343,8 +352,8 @@ class _AnsweringChannel(_FakeChannel):
         super().__init__()
         self.agent = agent
 
-    def send(self, message):
-        super().send(message)
+    def send(self, message, fault=None):
+        super().send(message, fault)
         if message.get("kind") == "job":
             self.feed(protocol.result(
                 message["id"], message["key"],
@@ -356,8 +365,8 @@ class _AnsweringChannel(_FakeChannel):
 class _HangUpChannel(_FakeChannel):
     """Hangs up the moment a job arrives, as a dying agent's socket."""
 
-    def send(self, message):
-        super().send(message)
+    def send(self, message, fault=None):
+        super().send(message, fault)
         if message.get("kind") == "job":
             self.hang_up()
 
@@ -519,6 +528,38 @@ class TestCoordinatorScheduling:
         finally:
             backend.shutdown()
 
+    def test_job_frame_fault_draws_per_dispatch(self):
+        """A job re-sent to a second agent draws ``job:<key>:2``: the
+        coordinator hands each send its own fault, and a damaged job
+        frame carries no directive."""
+        hung_up = _HangUpChannel()
+        link_a = AgentLink(channel=hung_up, name="a", slots=1,
+                           address="fake:a")
+        link_b = _fake_link("b")
+        backend = self._backend([link_a, link_b])
+        plan = parse_chaos("off,transport.corrupt=1.0@1")
+        backend.attach_chaos(plan)
+        spec = _spec(seed=1)
+        key = spec.key()
+        try:
+            job, conn, _ = backend.launch(spec.to_dict())
+            assert _wait_until(job.poll)
+            assert job.recv()["requeue"] is True
+            backend.retire_ok(types.SimpleNamespace(conn=conn))
+            backend.launch(spec.to_dict())
+            sent = hung_up.sent_of("job") + link_b.channel.sent_of("job")
+            assert [m["key"] for m in sent] == [key, key]
+            assert all("chaos" not in m for m in sent)
+            assert hung_up.faults[-1] == link_b.channel.faults[-1] == {
+                "transport.corrupt": True
+            }
+            assert plan.injections == [
+                ("transport.corrupt", f"job:{key}:1"),
+                ("transport.corrupt", f"job:{key}:2"),
+            ]
+        finally:
+            backend.shutdown()
+
 
 # ----------------------------------------------------------------------
 # Host grammar
@@ -552,6 +593,13 @@ def local_digest():
     """The pinned 36-point grid's digest under the local warm pool."""
     report = Orchestrator(jobs=2, pool="warm").run(pinned_sweep_specs())
     return grid_digest(report.results)
+
+
+class _OutcomeFramesOnly(ChaosPlan):
+    """A plan that fires only on outcome-frame tokens."""
+
+    def should(self, site, token):
+        return token.startswith("outcome:") and super().should(site, token)
 
 
 def _run_sweep_pin(backend):
@@ -602,6 +650,93 @@ class TestLoopbackCluster:
             elapsed = time.monotonic() - started
         assert elapsed < 5.0
         assert link.process.poll() is not None
+
+    def test_agent_ignores_repro_chaos_in_its_environment(self, monkeypatch):
+        """Only the run that reads ``REPRO_CHAOS`` is armed: an agent
+        launched under it injects nothing into a calm run."""
+        monkeypatch.setenv("REPRO_CHAOS", "off,worker.crash=1.0@1")
+        backend = connect_cluster(["local"], agent_jobs=1)
+        monkeypatch.delenv("REPRO_CHAOS")
+        report = Orchestrator(jobs=1, pool=backend, retries=0).run(
+            [_spec(seed=1)]
+        )
+        assert report.ok, [o.error for o in report.failures]
+        assert report.outcomes[0].agent == backend.agents()[0].name
+        assert "chaos" not in report.summary
+
+    def test_coordinator_plan_crashes_the_agents_worker(self, tmp_path):
+        """The coordinator draws ``worker.crash`` for the agent and
+        records it once, in the summary and as a span mark."""
+        plan = parse_chaos("off,worker.crash=1.0@1")
+        backend = connect_cluster(["local"], agent_jobs=1)
+        spans_path = tmp_path / "spans.jsonl"
+        report = Orchestrator(
+            jobs=1, pool=backend, retries=0, chaos=plan,
+        ).run([_spec(seed=1)],
+              fleet=FleetConfig(spans=True, spans_path=spans_path))
+        outcome, = report.outcomes
+        assert outcome.status == "failed"
+        assert "worker crashed" in outcome.error
+        assert outcome.agent == backend.agents()[0].name
+        token = f"{_spec(seed=1).key()}:1"
+        assert plan.injections == [("worker.crash", token)]
+        assert report.summary["chaos"]["by_site"] == {"worker.crash": 1}
+        marks = [
+            (r["args"]["site"], r["args"]["token"])
+            for r in map(json.loads, spans_path.read_text().splitlines())
+            if r.get("event") == "mark" and r.get("phase") == "chaos"
+        ]
+        assert marks == [("worker.crash", token)]
+
+    def test_outcome_frame_directive_fails_the_crc(self, monkeypatch):
+        """An outcome-frame ``transport.corrupt`` directive damages the
+        agent's result frame: the coordinator's CRC check catches it,
+        the link ends and the job requeues."""
+        caught = []
+        recv = FrameChannel.recv
+
+        def recording_recv(channel, timeout=None):
+            try:
+                return recv(channel, timeout)
+            except TransportError as exc:
+                caught.append(exc)
+                raise
+        monkeypatch.setattr(FrameChannel, "recv", recording_recv)
+        plan = _OutcomeFramesOnly({"transport.corrupt": 1.0}, seed=1)
+        backend = connect_cluster(["local"], agent_jobs=1)
+        backend.attach_chaos(plan)
+        link, = backend.agents()
+        spec = _spec(seed=1)
+        try:
+            job, _, _ = backend.launch(spec.to_dict())
+            assert _wait_until(job.poll, timeout_s=60.0)
+            assert job.recv()["requeue"] is True
+            assert not link.alive
+            assert [type(exc) for exc in caught] == [ChecksumError]
+            assert plan.injections == [
+                ("transport.corrupt", f"outcome:{spec.key()}:1"),
+            ]
+        finally:
+            backend.shutdown()
+
+    def test_hang_directive_trips_the_heartbeat(self):
+        """``agent.hang``, drawn by the coordinator, wedges the agent:
+        the heartbeat declares it dead and the job requeues."""
+        plan = parse_chaos("off,agent.hang=1.0@1")
+        # A timeout well under the agent's 2 s hang (CHAOS_HANG_S).
+        backend = connect_cluster(["local"], agent_jobs=1, heartbeat_s=0.1,
+                                  heartbeat_timeout_s=1.0)
+        backend.attach_chaos(plan)
+        link, = backend.agents()
+        spec = _spec(seed=1)
+        try:
+            job, _, _ = backend.launch(spec.to_dict())
+            assert _wait_until(job.poll, timeout_s=30.0)
+            assert job.recv()["requeue"] is True
+            assert not link.alive
+            assert plan.injections == [("agent.hang", f"{spec.key()}:1")]
+        finally:
+            backend.shutdown()
 
     def test_fleet_loss_degrades_to_local_same_digest(
         self, local_digest, tmp_path

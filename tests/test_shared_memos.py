@@ -15,7 +15,7 @@ import pytest
 
 from repro import fastpath
 from repro.compression import CompressionEngine
-from repro.core import AttacheController, IdealController
+from repro.core import AttacheController
 from repro.core.blem import BlemConfig, BlemEngine
 from repro.core.copr import CoprConfig
 from repro.dram import DramOrganization, MainMemory, SystemConfig
@@ -155,9 +155,6 @@ MEMO_OWNERS = [
     ("scramble", lambda: DataScrambler(7), ("_keystreams",)),
     ("dram.decode", lambda: AddressMapper(DramOrganization()),
      ("_decode_cache",)),
-    ("core.subrank",
-     lambda: IdealController(MainMemory(SystemConfig()), _model()),
-     ("_subrank_memo",)),
     ("blem", _attache, ("_encodes", "_decodes")),
 ]
 
